@@ -39,6 +39,7 @@ from .evaluate import (
     DistanceMatrix,
     EvalRun,
     GroundTruthMatrix,
+    PlaceMap,
     RecallCurve,
     TimingReport,
     associate_poses,

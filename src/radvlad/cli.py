@@ -225,9 +225,10 @@ def cmd_bench(args) -> int:
     report = bench_timings(cfg.method, trajectory.scans, args.repetitions, cfg)
     write_timing_csv(args.out, [report])
     if args.repetitions > 0:
+        threads = "unknown" if report.blas_threads is None else report.blas_threads
         print(
             f"bench: {cfg.method} build median {report.median('build'):.6f}s, "
-            f"distance median {report.median('distance'):.9f}s -> {args.out}"
+            f"distance median {report.median('distance'):.9f}s, BLAS threads {threads} -> {args.out}"
         )
     else:
         print(f"bench: empty report -> {args.out}")

@@ -33,16 +33,20 @@ class Codebook:
     iterations_run: int
     seed: int = 0
     inertia_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    centre_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        centres = np.asarray(self.centres, dtype=np.float64)
+        # The centres are copied and frozen so their cached norms cannot go stale.
+        centres = np.array(self.centres, dtype=np.float64)
         if centres.ndim != 2 or centres.shape[0] < 1:
             raise ArgumentError(f"centres must be a k x W matrix, got shape {centres.shape}")
         if not np.isfinite(centres).all():
             raise ArgumentError("centres must be finite")
         if self.inertia < 0.0:
             raise ArgumentError("inertia must be non-negative")
+        centres.setflags(write=False)
         object.__setattr__(self, "centres", centres)
+        object.__setattr__(self, "centre_sq_norms", sq_norms(centres))
         object.__setattr__(self, "inertia_trace", np.asarray(self.inertia_trace, dtype=np.float64))
 
     @property
@@ -54,12 +58,24 @@ class Codebook:
         return self.centres.shape[1]
 
 
-def _pairwise_sq_dist(vectors: np.ndarray, centres: np.ndarray) -> np.ndarray:
-    d2 = (
-        (vectors * vectors).sum(axis=1)[:, None]
-        - 2.0 * vectors @ centres.T
-        + (centres * centres).sum(axis=1)[None, :]
-    )
+def sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared L2 norm of every row of ``x``."""
+    return (x * x).sum(axis=1)
+
+
+def pairwise_sq_dist(a: np.ndarray, b: np.ndarray, a_sq=None, b_sq=None) -> np.ndarray:
+    """Squared Euclidean distance between every row of ``a`` and of ``b``.
+
+    Expanded as |a|^2 - 2 a.b + |b|^2 so that one matrix product does the
+    work; ``a_sq`` and ``b_sq`` are the rows' ``sq_norms`` when the caller
+    already holds them. Entries that rounding pushes below zero are
+    clamped to zero.
+    """
+    if a_sq is None:
+        a_sq = sq_norms(a)
+    if b_sq is None:
+        b_sq = sq_norms(b)
+    d2 = a_sq[:, None] - 2.0 * a @ b.T + b_sq[None, :]
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -81,7 +97,7 @@ def _seed_centres(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centres
 
 
-def _update_centres(vectors: np.ndarray, labels: np.ndarray, centres: np.ndarray) -> np.ndarray:
+def _update_centres(vectors: np.ndarray, labels: np.ndarray, centres: np.ndarray, vector_sq=None) -> np.ndarray:
     k = centres.shape[0]
     counts = np.bincount(labels, minlength=k)
     sums = np.zeros_like(centres)
@@ -92,7 +108,7 @@ def _update_centres(vectors: np.ndarray, labels: np.ndarray, centres: np.ndarray
     # An emptied cluster is re-seeded at the vector farthest from its
     # nearest current centre, one empty cluster at a time.
     for empty in np.flatnonzero(~occupied):
-        d2 = _pairwise_sq_dist(vectors, new).min(axis=1)
+        d2 = pairwise_sq_dist(vectors, new, vector_sq).min(axis=1)
         new[empty] = vectors[int(np.argmax(d2))]
     return new
 
@@ -118,12 +134,13 @@ def fit_kmeans_pp(vectors, k: int, tol: float = 1e-4, seed: int = 0, max_iter: i
 
     rng = np.random.default_rng(seed)
     centres = _seed_centres(vectors, k, rng)
+    vector_sq = sq_norms(vectors)
 
     trace = []
     previous = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        d2 = _pairwise_sq_dist(vectors, centres)
+        d2 = pairwise_sq_dist(vectors, centres, vector_sq)
         labels = np.argmin(d2, axis=1)
         inertia = float(np.take_along_axis(d2, labels[:, None], axis=1).sum())
         trace.append(inertia)
@@ -132,7 +149,7 @@ def fit_kmeans_pp(vectors, k: int, tol: float = 1e-4, seed: int = 0, max_iter: i
         previous = inertia
         if iterations == max_iter:
             break
-        centres = _update_centres(vectors, labels, centres)
+        centres = _update_centres(vectors, labels, centres, vector_sq)
 
     return Codebook(
         centres=centres,
@@ -174,4 +191,4 @@ def load_codebook(path) -> Codebook:
     if len(buf) != need:
         raise IngestError(f"{path}: expected {need} bytes, found {len(buf)}")
     centres = np.frombuffer(buf, dtype="<f8", offset=_CDBK_HEADER.size).reshape(k, width)
-    return Codebook(centres=centres.copy(), inertia=0.0, iterations_run=0, seed=seed)
+    return Codebook(centres=centres, inertia=0.0, iterations_run=0, seed=seed)

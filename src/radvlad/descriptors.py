@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import Codebook
+from .codebook import Codebook, pairwise_sq_dist
 from .errors import ArgumentError, IngestError
 from .scans import CartesianScan, PolarScan, polar_to_cartesian
 
@@ -100,11 +100,7 @@ def encode_ring_key(scan: PolarScan) -> RingKeyDescriptor:
 
 def nearest_centre_labels(rows: np.ndarray, codebook: Codebook) -> np.ndarray:
     """Nearest-centre index per row; ties go to the lowest centre index."""
-    d2 = (
-        (rows * rows).sum(axis=1)[:, None]
-        - 2.0 * rows @ codebook.centres.T
-        + (codebook.centres * codebook.centres).sum(axis=1)[None, :]
-    )
+    d2 = pairwise_sq_dist(rows, codebook.centres, b_sq=codebook.centre_sq_norms)
     return np.argmin(d2, axis=1)
 
 

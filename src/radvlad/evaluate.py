@@ -11,15 +11,19 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import struct
 import time
+import warnings
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import numpy as np
 
-from .codebook import Codebook, fit_kmeans_pp, save_codebook
+from .codebook import Codebook, fit_kmeans_pp, pairwise_sq_dist, save_codebook, sq_norms
 from .config import (
     METHOD_FFT_RADVLAD,
     METHOD_RADVLAD,
@@ -30,7 +34,6 @@ from .config import (
     RunConfig,
 )
 from .descriptors import (
-    RaplaceDescriptor,
     descriptor_distance,
     encode_raplace,
     encode_ring_key,
@@ -191,11 +194,13 @@ def preprocess_scan(scan: PolarScan, cfg: RunConfig) -> PolarScan:
     return resample_range(suppress_near_range(scan, cfg.suppress_bins), cfg.target_bins)
 
 
-def _map_jobs(fn, items, jobs: int) -> list:
+def _map_jobs(fn, items, jobs: int):
+    """Yield ``fn(item)`` for each item in order, using up to ``jobs`` threads."""
     if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(fn, items)
 
 
 def training_rows(scans, method: str, cfg: RunConfig) -> np.ndarray:
@@ -237,21 +242,77 @@ def _encoder(method: str, cfg: RunConfig, codebook: Codebook | None = None):
     raise ArgumentError(f"unknown method {method!r}")
 
 
-def encode_trajectory(scans, method: str, cfg: RunConfig, codebook: Codebook | None = None, jobs: int = 1) -> list:
-    """One descriptor per scan, encoded with up to ``jobs`` workers."""
-    return _map_jobs(_encoder(method, cfg, codebook), scans, jobs)
+class PlaceMap(Sequence):
+    """Encoded places of one run, held once with what matching reuses.
+
+    A sequence of the method's descriptors. Their arrays are copied, as
+    they arrive, into one contiguous read-only float64 ``stack`` and each
+    descriptor is re-pointed at its row, so the map holds a single copy
+    and writing to a descriptor raises instead of leaving a cache stale.
+    Vector methods cache every row's squared norm (``sq_norms``);
+    ``raplace`` caches the conjugated angle-axis FFT of every spectrum
+    (``fft_conj``) and its Frobenius norm (``norms``).
+    """
+
+    def __init__(self, method: str, descriptors, count: int | None = None):
+        if method not in METHODS:
+            raise ArgumentError(f"method must be one of {METHODS}, got {method!r}")
+        if count is None:
+            descriptors = list(descriptors)
+            count = len(descriptors)
+        if count < 1:
+            raise ArgumentError("a map needs at least one descriptor")
+        field = "spectrum" if method == METHOD_RAPLACE else "values"
+        stack = None
+        placed = []
+        for i, descriptor in enumerate(descriptors):
+            array = getattr(descriptor, field)
+            if stack is None:
+                stack = np.empty((count, *array.shape))
+            elif i >= count or array.shape != stack.shape[1:]:
+                raise ArgumentError(f"descriptor {i} does not fit a map of {count} x {stack.shape[1:]}")
+            stack[i] = array
+            # A view keeps its own write flag, so freezing the stack later would not cover it.
+            row = stack[i]
+            row.setflags(write=False)
+            placed.append(dc_replace(descriptor, **{field: row}))
+        if len(placed) != count:
+            raise ArgumentError(f"expected {count} descriptors, got {len(placed)}")
+        stack.setflags(write=False)
+        self.method = method
+        self.stack = stack
+        self._descriptors = tuple(placed)
+        self.sq_norms = self.fft_conj = self.norms = None
+        if method == METHOD_RAPLACE:
+            self.fft_conj = _frozen(np.conj(np.fft.fft(stack, axis=1)))
+            self.norms = _frozen(np.array([np.linalg.norm(spectrum) for spectrum in stack]))
+        else:
+            self.sq_norms = _frozen(sq_norms(stack))
+
+    def __len__(self) -> int:
+        return len(self._descriptors)
+
+    def __getitem__(self, index):
+        return self._descriptors[index]
 
 
-def _vector_distance_matrix(query_descs, ref_descs) -> np.ndarray:
-    q = np.stack([d.values for d in query_descs])
-    r = np.stack([d.values for d in ref_descs])
-    if q.shape[1] != r.shape[1]:
-        raise ArgumentError("descriptor lengths differ between query and reference")
-    d2 = (q * q).sum(axis=1)[:, None] - 2.0 * q @ r.T + (r * r).sum(axis=1)[None, :]
-    return np.maximum(d2, 0.0, out=d2)
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
-def _raplace_similarity_matrix(query_descs, ref_descs) -> np.ndarray:
+def _as_map(method: str, descriptors) -> PlaceMap:
+    if isinstance(descriptors, PlaceMap) and descriptors.method == method:
+        return descriptors
+    return PlaceMap(method, descriptors)
+
+
+def encode_trajectory(scans, method: str, cfg: RunConfig, codebook: Codebook | None = None, jobs: int = 1) -> PlaceMap:
+    """The map of ``scans``: one descriptor per scan, encoded with up to ``jobs`` workers."""
+    return PlaceMap(method, _map_jobs(_encoder(method, cfg, codebook), scans, jobs), len(scans))
+
+
+def _raplace_similarity_matrix(queries: PlaceMap, refs: PlaceMap) -> np.ndarray:
     """Pairwise peak circular correlation, normalised by descriptor norms.
 
     The normalisation bounds every entry by 1 with equality only for a
@@ -259,27 +320,39 @@ def _raplace_similarity_matrix(query_descs, ref_descs) -> np.ndarray:
     similarity extremum; raw correlation would instead favour references
     with large spectral mass.
     """
-    shape = query_descs[0].spectrum.shape
-    for d in (*query_descs, *ref_descs):
-        if d.spectrum.shape != shape:
-            raise ArgumentError("sinogram-spectrum shapes differ")
-    fq = np.stack([np.fft.fft(d.spectrum, axis=0) for d in query_descs])
-    fr = np.stack([np.fft.fft(d.spectrum, axis=0) for d in ref_descs])
-    fr_conj = np.conj(fr)
-    norm_q = np.array([np.linalg.norm(d.spectrum) for d in query_descs])
-    norm_r = np.array([np.linalg.norm(d.spectrum) for d in ref_descs])
-    scale = np.maximum(norm_q[:, None] * norm_r[None, :], np.finfo(float).tiny)
-    sim = np.empty((len(query_descs), len(ref_descs)))
-    for i in range(len(query_descs)):
-        corr = np.fft.ifft((fq[i][None, :, :] * fr_conj).sum(axis=2), axis=1).real
+    fq = np.conj(queries.fft_conj)
+    scale = np.maximum(queries.norms[:, None] * refs.norms[None, :], np.finfo(float).tiny)
+    sim = np.empty((len(queries), len(refs)))
+    for i in range(len(queries)):
+        corr = np.fft.ifft((fq[i][None, :, :] * refs.fft_conj).sum(axis=2), axis=1).real
         sim[i] = corr.max(axis=1)
     return sim / scale
 
 
 def distance_matrix_from_descriptors(method: str, query_descs, ref_descs) -> DistanceMatrix:
+    """Queries-by-references distances; either side may be a ``PlaceMap``
+    or a plain sequence of descriptors, which is stacked on the fly."""
+    queries, refs = _as_map(method, query_descs), _as_map(method, ref_descs)
+    if queries.stack.shape[1:] != refs.stack.shape[1:]:
+        raise ArgumentError(
+            f"descriptor shapes differ between query {queries.stack.shape[1:]} and reference {refs.stack.shape[1:]}"
+        )
     if method == METHOD_RAPLACE:
-        return DistanceMatrix.from_similarity(_raplace_similarity_matrix(query_descs, ref_descs))
-    return DistanceMatrix(_vector_distance_matrix(query_descs, ref_descs))
+        return DistanceMatrix.from_similarity(_raplace_similarity_matrix(queries, refs))
+    return DistanceMatrix(pairwise_sq_dist(queries.stack, refs.stack, queries.sq_norms, refs.sq_norms))
+
+
+def _timed_map(fn, items, jobs: int, seconds: list):
+    """``_map_jobs`` that appends each call's duration to ``seconds`` in item order."""
+
+    def timed(item):
+        start = time.perf_counter()
+        result = fn(item)
+        return result, time.perf_counter() - start
+
+    for result, elapsed in _map_jobs(timed, items, jobs):
+        seconds.append(elapsed)
+        yield result
 
 
 def run_pair(
@@ -315,19 +388,12 @@ def run_pair(
         codebook = fit_method_codebook(ref_scans, method, cfg)
 
     encode = _encoder(method, cfg, codebook)
-
-    def timed_encode(scan):
-        start = time.perf_counter()
-        descriptor = encode(scan)
-        return descriptor, time.perf_counter() - start
-
-    ref_results = _map_jobs(timed_encode, ref_scans, jobs)
-    query_results = _map_jobs(timed_encode, query_scans, jobs)
-    ref_descs = [d for d, _ in ref_results]
-    query_descs = [d for d, _ in query_results]
+    encode_seconds = []
+    ref_map = PlaceMap(method, _timed_map(encode, ref_scans, jobs, encode_seconds), len(ref_scans))
+    query_map = PlaceMap(method, _timed_map(encode, query_scans, jobs, encode_seconds), len(query_scans))
 
     start = time.perf_counter()
-    distances = distance_matrix_from_descriptors(method, query_descs, ref_descs)
+    distances = distance_matrix_from_descriptors(method, query_map, ref_map)
     distance_seconds = time.perf_counter() - start
 
     recall = recall_at_n(distances, gt, cfg.n_max)
@@ -340,7 +406,7 @@ def run_pair(
         write_distance_matrix(out_dir / "distances.dmat", distances)
         timing = TimingReport(
             method,
-            np.array([t for _, t in (*ref_results, *query_results)]),
+            np.array(encode_seconds),
             np.array([distance_seconds]),
         )
         write_timing_csv(out_dir / "timing.csv", [timing])
@@ -399,6 +465,7 @@ class TimingReport:
     method: str
     build_seconds: np.ndarray
     distance_seconds: np.ndarray
+    blas_threads: int | None = None
 
     def median(self, phase: str) -> float:
         return float(np.median(self._samples(phase)))
@@ -414,13 +481,66 @@ class TimingReport:
         raise ArgumentError(f"unknown phase {phase!r}")
 
 
+def _openblas_thread_functions():
+    """(get, set) thread-count functions of the loaded OpenBLAS, or None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+def blas_threads() -> int | None:
+    """Thread count the loaded OpenBLAS reports, or None if it cannot be asked."""
+    functions = _openblas_thread_functions()
+    return None if functions is None else int(functions[0]())
+
+
+@contextlib.contextmanager
 def _single_thread_context():
+    """Pin BLAS to one thread for the block, then restore the previous count.
+
+    Uses ``threadpoolctl`` when it is installed, else OpenBLAS's own
+    setter; warns when neither is available.
+    """
     try:
         from threadpoolctl import threadpool_limits
-
-        return threadpool_limits(limits=1)
     except ImportError:
-        return contextlib.nullcontext()
+        pass
+    else:
+        with threadpool_limits(limits=1):
+            yield
+        return
+    functions = _openblas_thread_functions()
+    if functions is None:
+        warnings.warn(
+            "cannot pin BLAS to one thread (no threadpoolctl, no OpenBLAS found); "
+            "timings use the BLAS default thread count",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        yield
+        return
+    get, put = functions
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
 
 
 def bench_timings(method: str, scans, repetitions: int, cfg: RunConfig | None = None) -> TimingReport:
@@ -430,7 +550,8 @@ def bench_timings(method: str, scans, repetitions: int, cfg: RunConfig | None = 
     or a single distance/similarity evaluation between two fixed
     descriptors. Preprocessing and codebook fitting happen outside the
     timed region, and BLAS thread pools are pinned to one thread so the
-    samples are comparable across methods.
+    samples are comparable across methods; the report records the BLAS
+    thread count in effect while timing.
     """
     if method not in METHODS:
         raise ArgumentError(f"method must be one of {METHODS}, got {method!r}")
@@ -462,6 +583,7 @@ def bench_timings(method: str, scans, repetitions: int, cfg: RunConfig | None = 
     build = np.empty(repetitions)
     distance = np.empty(repetitions)
     with _single_thread_context():
+        threads = blas_threads()
         for i in range(repetitions):
             item = inputs[i % len(inputs)]
             start = time.perf_counter()
@@ -473,7 +595,7 @@ def bench_timings(method: str, scans, repetitions: int, cfg: RunConfig | None = 
             start = time.perf_counter()
             compare(left, right)
             distance[i] = time.perf_counter() - start
-    return TimingReport(method, build, distance)
+    return TimingReport(method, build, distance, threads)
 
 
 def write_timing_csv(path, reports) -> None:

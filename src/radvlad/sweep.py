@@ -15,13 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import METHOD_RAPLACE, RunConfig
+from .config import METHOD_RAPLACE, METHOD_RINGKEY, RunConfig
 from .descriptors import RaplaceConfig, encode_ring_key
 from .errors import ArgumentError
 from .evaluate import (
-    DistanceMatrix,
     _map_jobs,
-    _vector_distance_matrix,
     associate_poses,
     distance_matrix_from_descriptors,
     downsample_trajectory,
@@ -66,9 +64,9 @@ def sweep_ringkey(
         for bins in bins_list:
             for length in lengths:
                 encode = lambda s: _ringkey_variant(s, cfg.suppress_bins, azis, bins, length)
-                q = _map_jobs(encode, query_scans, jobs)
-                r = _map_jobs(encode, ref_scans, jobs)
-                dist = DistanceMatrix(_vector_distance_matrix(q, r))
+                q = list(_map_jobs(encode, query_scans, jobs))
+                r = list(_map_jobs(encode, ref_scans, jobs))
+                dist = distance_matrix_from_descriptors(METHOD_RINGKEY, q, r)
                 curve = recall_at_n(dist, gt, 1)
                 rows.append((azis, bins, length, float(curve.recall_pct[0])))
     return rows

@@ -286,6 +286,12 @@ class TestBenchCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 8
 
+    def test_bench_reports_blas_threads(self, synth_pair, tmp_path, capsys):
+        _, ref = synth_pair
+        rc = main(["bench", "--run", str(ref), "--repetitions", "2", "--out", str(tmp_path / "t.csv"), "--method", "ringkey", *SYNTH_CFG_FLAGS])
+        assert rc == 0
+        assert "BLAS threads " in capsys.readouterr().out
+
 
 class TestSynthCommand:
     def test_rotation_scenario(self, tmp_path, capsys):

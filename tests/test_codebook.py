@@ -10,7 +10,7 @@ from radvlad import (
     load_codebook,
     save_codebook,
 )
-from radvlad.codebook import _update_centres
+from radvlad.codebook import _update_centres, pairwise_sq_dist, sq_norms
 
 
 def blobs(rng, centres, per_cluster=30, spread=0.05):
@@ -91,6 +91,29 @@ class TestFit:
         labels = np.array([0, 0, 2, 0])  # cluster 1 is empty
         new = _update_centres(data, labels, centres)
         assert np.array_equal(new[1], data[3])
+
+
+class TestPairwiseSqDist:
+    def test_matches_brute_force_and_cached_norms_change_nothing(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((7, 12)), rng.standard_normal((4, 12))
+        d2 = pairwise_sq_dist(a, b)
+        brute = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        assert np.allclose(d2, brute, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(pairwise_sq_dist(a, b, sq_norms(a), sq_norms(b)), d2)
+
+    def test_self_distance_clamped_non_negative(self):
+        a = np.random.default_rng(6).standard_normal((20, 64)) * 1e3
+        assert (pairwise_sq_dist(a, a) >= 0.0).all()
+
+    def test_codebook_centres_frozen_with_their_norms(self):
+        centres = np.arange(6.0).reshape(3, 2)
+        cb = Codebook(centres=centres, inertia=0.0, iterations_run=0)
+        centres[0, 0] = 99.0
+        assert cb.centres[0, 0] == 0.0
+        assert np.array_equal(cb.centre_sq_norms, sq_norms(cb.centres))
+        with pytest.raises(ValueError):
+            cb.centres[0, 0] = 1.0
 
 
 class TestAssignNearest:

@@ -18,7 +18,19 @@ from radvlad import (
     run_pair,
     write_timing_csv,
 )
-from radvlad.evaluate import read_distance_matrix, write_distance_matrix, write_results_csv
+from radvlad.descriptors import RingKeyDescriptor, raplace_similarity
+from radvlad.evaluate import (
+    PlaceMap,
+    _openblas_thread_functions,
+    _single_thread_context,
+    blas_threads,
+    distance_matrix_from_descriptors,
+    encode_trajectory,
+    fit_method_codebook,
+    read_distance_matrix,
+    write_distance_matrix,
+    write_results_csv,
+)
 from radvlad.scenarios import run_rotation_scenario, synthetic_run_config
 from radvlad.synthetic import PlaceWorld as _World
 
@@ -208,8 +220,6 @@ class TestRunPair:
         ref = small_world.reference_trajectory()
         cfg = synthetic_run_config(small_world.cfg, "fft_radvlad", k=4)
         run = run_pair(ref, ref, "fft_radvlad", cfg)
-        from radvlad.evaluate import encode_trajectory, fit_method_codebook
-
         cb = fit_method_codebook(ref.scans, "fft_radvlad", cfg)
         descs = encode_trajectory(ref.scans, "fft_radvlad", cfg, cb)
         for i in (0, 3):
@@ -241,6 +251,102 @@ class TestRunPair:
         assert len(lines) == 1 + len(run.recall.n_values)
         first = lines[1].split(",")
         assert first[2] == "ringkey" and first[3] == "1" and first[4] == "100.000000"
+
+
+METHOD_NAMES = ["ringkey", "raplace", "radvlad", "fft_radvlad"]
+
+
+def _map_inputs(method, seed):
+    """Reference and rotated query scans of a small world, with a fitted set-up."""
+    world = _World(seed=seed, cfg=WorldConfig(n_places=5))
+    cfg = synthetic_run_config(world.cfg, method, k=4)
+    ref = world.reference_trajectory()
+    query = world.rotated_query_trajectory(trials=4, seed=seed + 1)
+    codebook = fit_method_codebook(ref.scans, method, cfg) if method in ("radvlad", "fft_radvlad") else None
+    return ref.scans, query.scans, cfg, codebook
+
+
+def _one_by_one(scans, method, cfg, codebook):
+    return [encode_trajectory([scan], method, cfg, codebook)[0] for scan in scans]
+
+
+class TestPlaceMap:
+    @pytest.mark.parametrize("seed", [0, 7, 31])
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_map_and_plain_list_paths_agree_with_pairwise_scores(self, method, seed):
+        ref_scans, query_scans, cfg, codebook = _map_inputs(method, seed)
+        place_map = encode_trajectory(ref_scans, method, cfg, codebook)
+        queries = encode_trajectory(query_scans, method, cfg, codebook)
+        plain_refs = _one_by_one(ref_scans, method, cfg, codebook)
+        plain_queries = _one_by_one(query_scans, method, cfg, codebook)
+        assert isinstance(place_map, PlaceMap) and not isinstance(plain_refs, PlaceMap)
+
+        via_map = distance_matrix_from_descriptors(method, queries, place_map).values
+        via_list = distance_matrix_from_descriptors(method, plain_queries, plain_refs).values
+        assert np.array_equal(via_map, via_list)
+
+        for i, q in enumerate(plain_queries):
+            for j, r in enumerate(plain_refs):
+                if method == "raplace":
+                    norms = np.linalg.norm(q.spectrum) * np.linalg.norm(r.spectrum)
+                    want, scale = -raplace_similarity(q, r) / norms, 1.0
+                else:
+                    want = descriptor_distance(q, r)
+                    scale = max(q.values @ q.values, r.values @ r.values)
+                assert abs(via_map[i, j] - want) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_map_descriptors_are_read_only(self, method):
+        ref_scans, _, cfg, codebook = _map_inputs(method, 0)
+        place_map = encode_trajectory(ref_scans, method, cfg, codebook)
+        array = place_map[1].spectrum if method == "raplace" else place_map[1].values
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+        with pytest.raises(ValueError):
+            place_map.stack[0] = 1.0
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_map_matrix_is_independent_of_jobs(self, method):
+        ref_scans, _, cfg, codebook = _map_inputs(method, 3)
+        one = encode_trajectory(ref_scans, method, cfg, codebook, jobs=1)
+        two = encode_trajectory(ref_scans, method, cfg, codebook, jobs=2)
+        assert one.stack.tobytes() == two.stack.tobytes()
+        assert len(one) == len(two) == len(ref_scans)
+
+    def test_descriptor_shape_mismatch_raises(self, small_world):
+        cfg = synthetic_run_config(small_world.cfg, "ringkey")
+        scans = small_world.reference_trajectory().scans
+        refs = encode_trajectory(scans, "ringkey", cfg)
+        short = [RingKeyDescriptor(d.values[:-1]) for d in refs]
+        with pytest.raises(ArgumentError):
+            distance_matrix_from_descriptors("ringkey", short, refs)
+
+
+class TestBlasPin:
+    def test_single_thread_context_pins_and_restores(self):
+        functions = _openblas_thread_functions()
+        if functions is None:
+            pytest.skip("no OpenBLAS thread-count symbol found")
+        get, put = functions
+        original = get()
+        put(2)
+        try:
+            with _single_thread_context():
+                assert blas_threads() == 1
+            assert blas_threads() == 2
+        finally:
+            put(original)
+
+    def test_warns_when_nothing_can_be_pinned(self, monkeypatch):
+        import sys
+
+        from radvlad import evaluate
+
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        monkeypatch.setattr(evaluate, "_openblas_thread_functions", lambda: None)
+        with pytest.warns(RuntimeWarning, match="cannot pin BLAS"):
+            with _single_thread_context():
+                pass
 
 
 class TestBenchTimings:
