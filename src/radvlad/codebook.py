@@ -97,11 +97,19 @@ def _seed_centres(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centres
 
 
+def cluster_sums(rows: np.ndarray, labels: np.ndarray, k: int):
+    """Per-cluster sum of ``rows`` and member count, for labels in [0, k).
+
+    One matrix product of the k x n one-hot membership matrix with the
+    rows; a cluster with no members sums to exactly zero.
+    """
+    members = np.zeros((k, rows.shape[0]))
+    members[labels, np.arange(rows.shape[0])] = 1.0
+    return members @ rows, np.bincount(labels, minlength=k)
+
+
 def _update_centres(vectors: np.ndarray, labels: np.ndarray, centres: np.ndarray, vector_sq=None) -> np.ndarray:
-    k = centres.shape[0]
-    counts = np.bincount(labels, minlength=k)
-    sums = np.zeros_like(centres)
-    np.add.at(sums, labels, vectors)
+    sums, counts = cluster_sums(vectors, labels, centres.shape[0])
     new = centres.copy()
     occupied = counts > 0
     new[occupied] = sums[occupied] / counts[occupied, None]

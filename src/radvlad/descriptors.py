@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import Codebook, pairwise_sq_dist
+from .codebook import Codebook, cluster_sums, pairwise_sq_dist
 from .errors import ArgumentError, IngestError
-from .scans import CartesianScan, PolarScan, polar_to_cartesian
+from .scans import CartesianScan, PolarScan, linear_resample_columns, polar_to_cartesian
 
 DESC_MAGIC = b"DESC"
 KIND_RINGKEY = 0
@@ -107,12 +107,16 @@ def nearest_centre_labels(rows: np.ndarray, codebook: Codebook) -> np.ndarray:
 def encode_vlad(rows, codebook: Codebook, l2_normalize: bool = False) -> VladDescriptor:
     """Aggregate per-azimuth vectors into a k*W residual descriptor.
 
-    Section i is the sum, in ascending row order, of (row - centre_i) over
-    rows whose nearest centre is i; sections are concatenated in centre
-    order and clusters with no rows contribute a zero section. Rows may be
-    raw power vectors or radial spectra, as long as their length matches
-    the codebook. ``l2_normalize`` optionally rescales the concatenated
-    vector to unit norm (off by default).
+    Section i is the sum of (row - centre_i) over rows whose nearest
+    centre is i, computed as the sum of those rows minus their count
+    times centre_i, with every cluster's row sum taken by one one-hot
+    matrix product (``codebook.cluster_sums``), so rows are added in the
+    matrix product's order, not in ascending row order. Sections are
+    concatenated in centre order and clusters with no rows contribute a
+    zero section. Rows may be raw power vectors or radial spectra, as
+    long as their length matches the codebook. ``l2_normalize``
+    optionally rescales the concatenated vector to unit norm (off by
+    default).
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2:
@@ -121,19 +125,13 @@ def encode_vlad(rows, codebook: Codebook, l2_normalize: bool = False) -> VladDes
         raise ArgumentError(f"row length {rows.shape[1]} != codebook width {codebook.width}")
     if not np.isfinite(rows).all():
         raise ArgumentError("rows must be finite")
-    labels = nearest_centre_labels(rows, codebook)
-    k, width = codebook.k, codebook.width
-    values = np.zeros((k, width))
-    for i in range(k):
-        members = rows[labels == i]
-        if members.shape[0]:
-            values[i] = (members - codebook.centres[i]).sum(axis=0)
-    values = values.reshape(-1)
+    sums, counts = cluster_sums(rows, nearest_centre_labels(rows, codebook), codebook.k)
+    values = (sums - counts[:, None] * codebook.centres).reshape(-1)
     if l2_normalize:
         norm = np.linalg.norm(values)
         if norm > 0.0:
             values = values / norm
-    return VladDescriptor(values=values, k=k, w=width)
+    return VladDescriptor(values=values, k=codebook.k, w=codebook.width)
 
 
 def _vector_of(descriptor) -> np.ndarray:
@@ -211,18 +209,6 @@ def radon_sinogram(scan: CartesianScan, n_angles: int) -> np.ndarray:
     return out
 
 
-def _scale_columns(matrix: np.ndarray, target: int) -> np.ndarray:
-    n_rows, width = matrix.shape
-    if target == width:
-        return matrix.copy()
-    if width == 1:
-        return np.repeat(matrix, target, axis=1)
-    pos = np.clip((np.arange(target) + 0.5) * (width / target) - 0.5, 0.0, width - 1.0)
-    i0 = np.minimum(np.floor(pos).astype(np.int64), width - 2)
-    frac = pos - i0
-    return matrix[:, i0] * (1.0 - frac) + matrix[:, i0 + 1] * frac
-
-
 def encode_raplace(scan: PolarScan, cfg: RaplaceConfig = RaplaceConfig()) -> RaplaceDescriptor:
     """Sinogram-spectrum descriptor of a polar scan.
 
@@ -234,7 +220,7 @@ def encode_raplace(scan: PolarScan, cfg: RaplaceConfig = RaplaceConfig()) -> Rap
     cart = polar_to_cartesian(scan, cfg.width_px, cfg.resolution_m)
     sino = radon_sinogram(cart, cfg.angles)
     target = max(1, int(round(sino.shape[1] * cfg.scale_pct / 100.0)))
-    scaled = _scale_columns(sino, target)
+    scaled = linear_resample_columns(sino, target)
     spectrum = np.abs(np.fft.fft(scaled, axis=1))
     return RaplaceDescriptor(spectrum=spectrum)
 

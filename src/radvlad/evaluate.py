@@ -46,7 +46,7 @@ from .scans import (
     Trajectory,
     TrajectoryPoses,
     resample_range,
-    suppress_near_range,
+    suppress_near_range,  # perfbench/tracing.py wraps it in this namespace
 )
 from .spectral import radial_fft_magnitude
 
@@ -190,8 +190,8 @@ def recall_at_n(dist: DistanceMatrix, gt: GroundTruthMatrix, n_max: int) -> Reca
 
 
 def preprocess_scan(scan: PolarScan, cfg: RunConfig) -> PolarScan:
-    """Near-range suppression followed by range resampling."""
-    return resample_range(suppress_near_range(scan, cfg.suppress_bins), cfg.target_bins)
+    """Near-range suppression and range resampling, in one pass over the scan."""
+    return resample_range(scan, cfg.target_bins, suppress_bins=cfg.suppress_bins)
 
 
 def _map_jobs(fn, items, jobs: int):
@@ -204,14 +204,23 @@ def _map_jobs(fn, items, jobs: int):
 
 
 def training_rows(scans, method: str, cfg: RunConfig) -> np.ndarray:
-    """Stacked per-azimuth training vectors for codebook fitting."""
+    """Stacked per-azimuth training vectors for codebook fitting.
+
+    Each scan's rows are written straight into one array sized up front,
+    so the training set is held once.
+    """
     if method == METHOD_FFT_RADVLAD:
-        rows = [radial_fft_magnitude(preprocess_scan(s, cfg)).magnitude for s in scans]
+        rows_of = lambda s: radial_fft_magnitude(preprocess_scan(s, cfg)).magnitude
     elif method == METHOD_RADVLAD:
-        rows = [preprocess_scan(s, cfg).power for s in scans]
+        rows_of = lambda s: preprocess_scan(s, cfg).power
     else:
         raise ArgumentError(f"method {method!r} does not use a codebook")
-    return np.concatenate(rows, axis=0)
+    out = np.empty((sum(s.azimuth_count for s in scans), cfg.target_bins))
+    start = 0
+    for s in scans:
+        out[start : start + s.azimuth_count] = rows_of(s)
+        start += s.azimuth_count
+    return out
 
 
 def fit_method_codebook(ref_scans, method: str, cfg: RunConfig) -> Codebook:

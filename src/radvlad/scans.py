@@ -170,13 +170,12 @@ def load_polar_scan(path, layout: RasterLayoutConfig) -> PolarScan:
     else:
         power = np.frombuffer(payload.tobytes(), dtype="<f4").astype(np.float64)
         power = power.reshape(layout.rows, layout.payload_bins)
-        if not np.isfinite(power).all():
-            raise IngestError(f"{path}: non-finite f32 sample")
-        if power.min() < 0.0:
-            raise IngestError(f"{path}: negative f32 sample")
     stem = path.stem
     timestamp = int(stem) if stem.isdigit() else 0
-    return PolarScan(power, layout.range_resolution_m, timestamp, id=stem)
+    try:
+        return PolarScan(power, layout.range_resolution_m, timestamp, id=stem)
+    except ArgumentError as exc:
+        raise IngestError(f"{path}: {exc}") from exc
 
 
 def write_prsn(path, scan: PolarScan) -> None:
@@ -204,8 +203,6 @@ def read_prsn(path) -> PolarScan:
         raise IngestError(f"{path}: expected {need} bytes, found {len(buf)}")
     power = np.frombuffer(buf, dtype="<f4", offset=_PRSN_HEADER.size)
     power = power.astype(np.float64).reshape(rows, bins)
-    if not np.isfinite(power).all():
-        raise IngestError(f"{path}: non-finite sample")
     try:
         return PolarScan(power, res, timestamp, id=path.stem)
     except ArgumentError as exc:
@@ -259,49 +256,86 @@ def suppress_near_range(scan: PolarScan, n_bins: int) -> PolarScan:
     return replace(scan, power=power)
 
 
-def resample_range(scan: PolarScan, target_bins: int) -> PolarScan:
+def resample_range(scan: PolarScan, target_bins: int, suppress_bins: int = 0) -> PolarScan:
     """Rescale the range axis to ``target_bins`` columns.
 
     Downsampling uses an area-weighted box average so each output bin is
     the mean of the input interval it covers; upsampling uses linear
     interpolation at output bin centres. The azimuth axis is untouched and
     ``range_resolution_m`` scales by W/target_bins.
+
+    The first ``suppress_bins`` input columns are read as zero, which gives
+    the same result as ``resample_range(suppress_near_range(scan, n), t)``
+    without copying the scan; ``scan`` itself is not modified.
     """
     if target_bins < 1:
         raise ArgumentError(f"target_bins must be >= 1, got {target_bins}")
     width = scan.range_bin_count
-    if target_bins == width:
-        power = scan.power.copy()
-    elif target_bins < width:
-        power = _box_downsample(scan.power, target_bins)
+    if suppress_bins < 0 or suppress_bins > width:
+        raise ArgumentError(f"suppress_bins must be in [0, {width}], got {suppress_bins}")
+    if target_bins < width:
+        power = _box_downsample(scan.power, target_bins, suppress_bins)
     else:
-        power = _linear_upsample(scan.power, target_bins)
+        power = linear_resample_columns(scan.power, target_bins, suppress_bins)
     res = scan.range_resolution_m * (width / target_bins)
     return replace(scan, power=power, range_resolution_m=res)
 
 
-def _box_downsample(rows: np.ndarray, target: int) -> np.ndarray:
-    n, width = rows.shape
-    cum = np.zeros((n, width + 1))
-    np.cumsum(rows, axis=1, out=cum[:, 1:])
-    bounds = np.arange(target + 1) * (width / target)
+# Output bins per block of the banded box-average product. On a 2.1 GHz Xeon
+# VM with one OpenBLAS thread, 16 ran 400 x 3768 -> 512 fastest (1.8 ms; block
+# sizes from 8 to 32 took up to 2.8x as long).
+_BOX_BLOCK_BINS = 16
+
+
+def _box_downsample(rows: np.ndarray, target: int, suppress: int) -> np.ndarray:
+    # Output bin t averages the row, read as zero below column ``suppress``,
+    # over [lo_t, lo_{t+1}) with lo_t = max(t * W / target, suppress): a
+    # product with a banded matrix whose (c, t) entry is the overlap of
+    # column c with that interval. Each block of output bins multiplies the
+    # few columns it covers by its dense slice of the band, so no
+    # full-scan temporary is made, all weights are >= 0, and bins inside
+    # the suppressed prefix get all-zero weights and come out exactly 0.
+    height, width = rows.shape
+    bounds = np.maximum(np.arange(target + 1) * (width / target), suppress)
     bounds[-1] = width
-    i0 = np.minimum(np.floor(bounds).astype(np.int64), width)
-    frac = (bounds - i0) * (i0 < width)
-    col = np.minimum(i0, width - 1)
-    integral = cum[:, i0] + rows[:, col] * frac
-    out = np.diff(integral, axis=1) * (target / width)
-    return np.maximum(out, 0.0)
+    first = np.arange(0, target, _BOX_BLOCK_BINS)
+    bins = np.minimum(first[:, None, None] + np.arange(_BOX_BLOCK_BINS), target - 1)
+    col0 = np.floor(bounds[first]).astype(np.int64)
+    span = int((np.ceil(bounds[bins[:, 0, -1] + 1]).astype(np.int64) - col0).max())
+    # A block ending at the last column is shifted left to stay inside the
+    # row; the columns it gains overlap none of its bins.
+    col0 = np.minimum(col0, width - span)
+    cols = col0[:, None, None] + np.arange(span)[:, None]
+    weights = np.minimum(bounds[bins + 1], cols + 1) - np.maximum(bounds[bins], cols)
+    np.maximum(weights, 0.0, out=weights)
+    weights *= target / width
+    out = np.empty((height, target))
+    for t0, c0, block in zip(first.tolist(), col0.tolist(), weights):
+        t1 = min(t0 + _BOX_BLOCK_BINS, target)
+        np.matmul(rows[:, c0:c0 + span], block[:, : t1 - t0], out=out[:, t0:t1])
+    return out
 
 
-def _linear_upsample(rows: np.ndarray, target: int) -> np.ndarray:
-    n, width = rows.shape
+def linear_resample_columns(rows: np.ndarray, target: int, suppress: int = 0) -> np.ndarray:
+    """Linear interpolation of every row at ``target`` evenly spaced bin centres.
+
+    Sample i sits at input position (i + 0.5) * W / target - 0.5, clamped
+    to the end columns; equal widths return a copy. The first
+    ``suppress`` input columns are read as zero.
+    """
+    width = rows.shape[1]
+    if target == width:
+        out = rows.copy()
+        out[:, :suppress] = 0.0
+        return out
     if width == 1:
-        return np.repeat(rows, target, axis=1)
+        return np.repeat(np.zeros_like(rows) if suppress else rows, target, axis=1)
     pos = np.clip((np.arange(target) + 0.5) * (width / target) - 0.5, 0.0, width - 1.0)
     i0 = np.minimum(np.floor(pos).astype(np.int64), width - 2)
     frac = pos - i0
-    return rows[:, i0] * (1.0 - frac) + rows[:, i0 + 1] * frac
+    left = np.take(rows, i0, axis=1) * ((1.0 - frac) * (i0 >= suppress))
+    right = np.take(rows, i0 + 1, axis=1) * (frac * (i0 + 1 >= suppress))
+    return left + right
 
 
 def polar_to_cartesian(scan: PolarScan, width_px: int, resolution_m: float) -> CartesianScan:

@@ -42,11 +42,20 @@ class SpectralScan:
 
 
 def radial_fft_magnitude(scan: PolarScan) -> SpectralScan:
-    """DFT magnitude of every azimuth row, via the FFT."""
+    """DFT magnitude of every azimuth row, via the FFT.
+
+    Rows are real, so |F(W - rho)| = |F(rho)|: only the half spectrum
+    rho = 0..W//2 is transformed, and the rest is its mirror image.
+    """
     power = scan.power
     if not np.isfinite(power).all():
         raise NumericError("scan power contains non-finite samples")
-    return SpectralScan(np.abs(np.fft.fft(power, axis=1)))
+    width = power.shape[1]
+    half = width // 2 + 1
+    magnitude = np.empty(power.shape)
+    np.abs(np.fft.rfft(power, axis=1), out=magnitude[:, :half])
+    magnitude[:, half:] = magnitude[:, (width - 1) // 2 : 0 : -1]
+    return SpectralScan(magnitude)
 
 
 def naive_dft_magnitude(row) -> np.ndarray:

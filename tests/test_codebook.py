@@ -10,7 +10,7 @@ from radvlad import (
     load_codebook,
     save_codebook,
 )
-from radvlad.codebook import _update_centres, pairwise_sq_dist, sq_norms
+from radvlad.codebook import _update_centres, cluster_sums, pairwise_sq_dist, sq_norms
 
 
 def blobs(rng, centres, per_cluster=30, spread=0.05):
@@ -91,6 +91,28 @@ class TestFit:
         labels = np.array([0, 0, 2, 0])  # cluster 1 is empty
         new = _update_centres(data, labels, centres)
         assert np.array_equal(new[1], data[3])
+
+
+class TestClusterSums:
+    def test_matches_add_at_loop(self):
+        rng = np.random.default_rng(11)
+        for n, k, width in [(1, 1, 3), (50, 4, 7), (400, 64, 32)]:
+            rows = rng.standard_normal((n, width)) * 1e3
+            labels = rng.integers(k, size=n)
+            sums, counts = cluster_sums(rows, labels, k)
+            want = np.zeros((k, width))
+            np.add.at(want, labels, rows)
+            assert sums.shape == (k, width)
+            assert np.array_equal(counts, np.bincount(labels, minlength=k))
+            assert np.all(np.abs(sums - want) <= 1e-12 * np.abs(rows).sum(axis=0))
+
+    def test_empty_clusters_are_exact_zeros(self):
+        rows = -np.random.default_rng(12).random((9, 5))
+        labels = np.array([0, 2, 2, 0, 4, 4, 4, 0, 2])
+        sums, counts = cluster_sums(rows, labels, 6)
+        for empty in (1, 3, 5):
+            assert counts[empty] == 0
+            assert np.array_equal(sums[empty], np.zeros(5))
 
 
 class TestPairwiseSqDist:

@@ -93,6 +93,22 @@ class TestVlad:
             want = vlad_oracle(rows, centres)
             assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
 
+    def test_empty_clusters_give_exact_zero_sections(self):
+        rng = np.random.default_rng(13)
+        rows = rng.random((40, 6))
+        centres = np.vstack([rng.random((3, 6)), np.full((2, 6), 50.0), -np.full((1, 6), 50.0)])
+        got = encode_vlad(rows, Codebook(centres, inertia=0.0, iterations_run=1)).values.reshape(6, 6)
+        assert np.array_equal(got[3:], np.zeros((3, 6)))
+        want = vlad_oracle(rows, centres).reshape(6, 6)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_ties_go_to_the_lowest_centre(self):
+        # [1, 0] is at squared distance 1 from both centres
+        rows = np.array([[1.0, 0.0]])
+        centres = np.array([[0.0, 0.0], [2.0, 0.0]])
+        got = encode_vlad(rows, Codebook(centres, inertia=0.0, iterations_run=1)).values
+        assert np.array_equal(got, [1.0, 0.0, 0.0, 0.0])
+
     def test_length_law(self):
         rng = np.random.default_rng(5)
         for k, width in [(1, 3), (4, 8), (7, 5), (64, 512 // 8)]:

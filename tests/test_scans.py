@@ -95,6 +95,14 @@ class TestRawIngestion:
             load_polar_scan(path, layout)
 
 
+    def test_f32_negative_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "neg.bin"
+        path.write_bytes(np.array([[1.0, -0.5]], dtype="<f4").tobytes())
+        layout = RasterLayoutConfig(rows=1, header_bytes_per_row=0, payload_bins=2, sample_encoding="f32-LE")
+        with pytest.raises(IngestError, match="neg.bin"):
+            load_polar_scan(path, layout)
+
+
 class TestPoseCsv:
     def test_wellformed(self, tmp_path):
         path = tmp_path / "poses.csv"
@@ -214,6 +222,89 @@ class TestResampleRange:
             resample_range(make_scan([[1.0]]), 0)
 
 
+def box_overlap_oracle(rows, target, suppress=0):
+    """Brute-force interval-overlap averaging, columns below ``suppress`` read as zero."""
+    n, width = rows.shape
+    out = np.zeros((n, target))
+    for t in range(target):
+        lo, hi = t * width / target, (t + 1) * width / target
+        for i in range(suppress, width):
+            overlap = max(0.0, min(hi, i + 1) - max(lo, i))
+            out[:, t] += rows[:, i] * overlap
+        out[:, t] /= width / target
+    return out
+
+
+class TestFusedSuppression:
+    # (width, target, suppress): n = 0, n = W, n inside an output bin, n on
+    # a bin boundary, n past the first block of bins, a block ending at the
+    # last column, and the identity and upsample branches.
+    CASES = [
+        (37, 5, 0),
+        (37, 5, 37),
+        (37, 5, 3),
+        (40, 5, 16),
+        (3768, 512, 60),
+        (3768, 512, 200),
+        (3768, 512, 3767),
+        (100, 33, 99),
+        (17, 17, 4),
+        (17, 17, 17),
+        (6, 20, 2),
+        (6, 20, 6),
+        (1, 4, 1),
+    ]
+
+    @pytest.mark.parametrize("width,target,suppress", CASES)
+    def test_matches_suppress_then_resample(self, width, target, suppress):
+        rng = np.random.default_rng(width * 1000 + suppress)
+        # a strong near-range prefix, as raw scans have
+        power = rng.random((6, width)) * np.where(np.arange(width) < 60, 1e6, 1.0)
+        scan = make_scan(power, res=0.0432)
+        fused = resample_range(scan, target, suppress_bins=suppress)
+        staged = resample_range(suppress_near_range(scan, suppress), target)
+        scale = np.abs(staged.power).max(axis=1, keepdims=True) + 1e-300
+        assert fused.power.shape == (6, target)
+        assert np.all(np.abs(fused.power - staged.power) <= 1e-12 * scale)
+        assert fused.range_resolution_m == staged.range_resolution_m
+        assert fused.power.min() >= 0.0
+
+    @pytest.mark.parametrize("width,target,suppress", [c for c in CASES if c[1] < c[0]])
+    def test_downsample_matches_box_overlap_oracle(self, width, target, suppress):
+        rng = np.random.default_rng(suppress)
+        rows = rng.random((3, width))
+        got = resample_range(make_scan(rows), target, suppress_bins=suppress).power
+        want = box_overlap_oracle(rows, target, suppress)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(rows).max())
+
+    def test_bins_inside_suppressed_prefix_are_exactly_zero(self):
+        rng = np.random.default_rng(8)
+        width, target, suppress = 3768, 512, 600
+        out = resample_range(make_scan(rng.random((4, width)) + 1.0), target, suppress_bins=suppress).power
+        inside = int(np.floor(suppress * target / width))
+        assert np.array_equal(out[:, :inside], np.zeros((4, inside)))
+        assert np.all(out[:, inside:] > 0.0)
+
+    def test_identity_branch_zeroes_prefix_and_keeps_the_rest_bit_exact(self):
+        scan = make_scan(np.random.default_rng(9).random((5, 12)))
+        out = resample_range(scan, 12, suppress_bins=4).power
+        assert np.array_equal(out[:, :4], np.zeros((5, 4)))
+        assert np.array_equal(out[:, 4:], scan.power[:, 4:])
+
+    def test_input_not_mutated(self):
+        rng = np.random.default_rng(10)
+        for width, target in [(3768, 512), (12, 12), (6, 20)]:
+            scan = make_scan(rng.random((4, width)))
+            before = scan.power.copy()
+            resample_range(scan, target, suppress_bins=min(5, width))
+            assert np.array_equal(scan.power, before)
+
+    @pytest.mark.parametrize("suppress", [-1, 13])
+    def test_out_of_range_suppression_rejected(self, suppress):
+        with pytest.raises(ArgumentError):
+            resample_range(make_scan(np.ones((2, 12))), 4, suppress_bins=suppress)
+
+
 class TestPolarToCartesian:
     def test_max_range_arithmetic(self):
         scan = make_scan(np.zeros((4, 8)), res=1.0)
@@ -274,6 +365,16 @@ class TestPrsnFormat:
         write_prsn(path, scan)
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(IngestError):
+            read_prsn(path)
+
+    def test_non_finite_sample_rejected_naming_the_file(self, tmp_path):
+        scan = PolarScan(np.ones((2, 3)), 0.1)
+        path = tmp_path / "nan.prsn"
+        write_prsn(path, scan)
+        buf = bytearray(path.read_bytes())
+        buf[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(buf))
+        with pytest.raises(IngestError, match="nan.prsn"):
             read_prsn(path)
 
 

@@ -57,6 +57,15 @@ class TestOracleEquivalence:
 
 
 class TestSpectralProperties:
+    @pytest.mark.parametrize("width", [5, 6, 7, 511, 3768])
+    def test_half_spectrum_mirror_matches_full_fft(self, width):
+        rows = np.random.default_rng(width).random((3, width))
+        mag = spectrum_of(rows)
+        full = np.abs(np.fft.fft(rows, axis=1))
+        assert mag.shape == rows.shape
+        assert np.abs(mag - full).max() <= 1e-12 * full.max()
+        assert np.array_equal(mag[:, 1:], mag[:, :0:-1])
+
     def test_cyclic_shift_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
