@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import runs, sweep
 from .codebook import save_codebook
-from .config import METHODS, VLAD_METHODS, build_run_config, parse_config_file
+from .config import METHODS, VLAD_METHODS, build_run_config, config_keys, parse_config_file
 from .descriptors import save_descriptor
 from .errors import ArgumentError, IngestError, NumericError
 from .evaluate import (
@@ -80,25 +80,9 @@ def _add_config_flags(parser, include_method: bool = True) -> None:
     )
 
 
-def _config_from_args(args, forced_method: str | None = None):
+def _config_from_args(args):
     file_values = parse_config_file(args.config) if getattr(args, "config", None) else None
-    overrides = {
-        "method": forced_method if forced_method is not None else args.method,
-        "suppress_bins": args.suppress_bins,
-        "target_bins": args.target_bins,
-        "k": args.k,
-        "kmeans_tol": args.kmeans_tol,
-        "kmeans_seed": args.kmeans_seed,
-        "kmeans_max_iter": args.kmeans_max_iter,
-        "stride": args.stride,
-        "threshold_m": args.threshold_m,
-        "n_max": args.n_max,
-        "vlad_l2_normalize": args.vlad_l2_normalize,
-        "raplace.width_px": args.raplace_width_px,
-        "raplace.resolution_m": args.raplace_resolution_m,
-        "raplace.scale_pct": args.raplace_scale_pct,
-        "raplace.n_angles": args.raplace_n_angles,
-    }
+    overrides = {key: getattr(args, key.replace(".", "_")) for key in config_keys()}
     return build_run_config(file_values, overrides)
 
 
@@ -199,7 +183,7 @@ def cmd_localize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config_from_args(args, forced_method=args.method)
+    cfg = _config_from_args(args)
     query = runs.load_trajectory(args.query)
     ref = runs.load_trajectory(args.ref)
     if args.method == "ringkey":

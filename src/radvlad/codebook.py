@@ -175,7 +175,7 @@ def assign_nearest(codebook: Codebook, x) -> int:
         raise ArgumentError(f"vector length {x.size} != codebook width {codebook.width}")
     if not np.isfinite(x).all():
         raise ArgumentError("vector must be finite")
-    d2 = ((codebook.centres - x) ** 2).sum(axis=1)
+    d2 = pairwise_sq_dist(x[None, :], codebook.centres, b_sq=codebook.centre_sq_norms)
     return int(np.argmin(d2))
 
 

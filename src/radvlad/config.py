@@ -64,9 +64,21 @@ def parse_config_file(path) -> dict:
 
 
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_TYPES = {"str": str, "int": int, "float": float, "bool": bool}
 
 
-def _convert(name: str, value, target_type):
+def config_keys() -> dict:
+    """Every config key mapped to its field's annotation; the ``raplace``
+    settings are nested under dotted keys (``raplace.width_px``)."""
+    keys = {f.name: f.type for f in fields(RunConfig) if f.name != "raplace"}
+    keys.update({f"raplace.{f.name}": f.type for f in fields(RaplaceConfig)})
+    return keys
+
+
+def _convert(name: str, value, annotation: str):
+    if annotation.endswith(" | None") and value in (None, "", "none"):
+        return None
+    target_type = _TYPES[annotation.removesuffix(" | None")]
     if isinstance(value, str):
         if target_type is bool:
             try:
@@ -83,43 +95,27 @@ def _convert(name: str, value, target_type):
 def build_run_config(file_values: dict | None = None, overrides: dict | None = None) -> RunConfig:
     """Materialise a RunConfig from defaults, file values, then overrides.
 
-    Both mappings use flat dotted keys; ``overrides`` entries that are
-    None are ignored so unset command-line flags fall through.
+    Both mappings use the flat dotted keys of ``config_keys``;
+    ``overrides`` entries that are None are ignored so unset
+    command-line flags fall through.
     """
     merged = dict(file_values or {})
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value
 
-    cfg_types = {f.name: f.type for f in fields(RunConfig) if f.name != "raplace"}
-    type_map = {"str": str, "int": int, "float": float, "bool": bool}
+    keys = config_keys()
     cfg_kwargs = {}
     raplace_kwargs = {}
     for key, value in merged.items():
-        if key.startswith("raplace."):
-            sub = key[len("raplace."):]
-            if sub == "width_px":
-                raplace_kwargs[sub] = _convert(key, value, int)
-            elif sub in ("resolution_m", "scale_pct"):
-                raplace_kwargs[sub] = _convert(key, value, float)
-            elif sub == "n_angles":
-                raplace_kwargs[sub] = None if value in (None, "", "none") else _convert(key, value, int)
-            else:
-                raise ArgumentError(f"unknown config key {key!r}")
-        elif key in cfg_types:
-            cfg_kwargs[key] = _convert(key, value, type_map[cfg_types[key]])
-        else:
+        if key not in keys:
             raise ArgumentError(f"unknown config key {key!r}")
+        value = _convert(key, value, keys[key])
+        if key.startswith("raplace."):
+            raplace_kwargs[key[len("raplace."):]] = value
+        else:
+            cfg_kwargs[key] = value
     cfg = RunConfig(**cfg_kwargs)
     if raplace_kwargs:
-        cfg = replace(cfg, raplace=RaplaceConfig(**{**_raplace_dict(cfg.raplace), **raplace_kwargs}))
+        cfg = replace(cfg, raplace=replace(cfg.raplace, **raplace_kwargs))
     return cfg
-
-
-def _raplace_dict(cfg: RaplaceConfig) -> dict:
-    return {
-        "width_px": cfg.width_px,
-        "resolution_m": cfg.resolution_m,
-        "scale_pct": cfg.scale_pct,
-        "n_angles": cfg.n_angles,
-    }

@@ -203,18 +203,23 @@ def _map_jobs(fn, items, jobs: int):
         yield from pool.map(fn, items)
 
 
+def _rows_of(method: str, cfg: RunConfig):
+    """Per-scan closure giving the per-azimuth rows a residual method
+    clusters and aggregates: radial spectra or preprocessed power."""
+    if method == METHOD_FFT_RADVLAD:
+        return lambda s: radial_fft_magnitude(preprocess_scan(s, cfg)).magnitude
+    if method == METHOD_RADVLAD:
+        return lambda s: preprocess_scan(s, cfg).power
+    raise ArgumentError(f"method {method!r} does not use a codebook")
+
+
 def training_rows(scans, method: str, cfg: RunConfig) -> np.ndarray:
     """Stacked per-azimuth training vectors for codebook fitting.
 
     Each scan's rows are written straight into one array sized up front,
     so the training set is held once.
     """
-    if method == METHOD_FFT_RADVLAD:
-        rows_of = lambda s: radial_fft_magnitude(preprocess_scan(s, cfg)).magnitude
-    elif method == METHOD_RADVLAD:
-        rows_of = lambda s: preprocess_scan(s, cfg).power
-    else:
-        raise ArgumentError(f"method {method!r} does not use a codebook")
+    rows_of = _rows_of(method, cfg)
     out = np.empty((sum(s.azimuth_count for s in scans), cfg.target_bins))
     start = 0
     for s in scans:
@@ -229,26 +234,19 @@ def fit_method_codebook(ref_scans, method: str, cfg: RunConfig) -> Codebook:
 
 
 def _encoder(method: str, cfg: RunConfig, codebook: Codebook | None = None):
-    """Per-scan descriptor closure. The raw scan feeds the
-    sinogram-spectrum pipeline; the polar methods consume the
-    preprocessed scan."""
+    """Per-scan descriptor closure taking the raw scan: the
+    sinogram-spectrum pipeline consumes it as is, the polar methods
+    preprocess it first."""
     if method == METHOD_RINGKEY:
         return lambda s: encode_ring_key(preprocess_scan(s, cfg))
     if method == METHOD_RAPLACE:
         return lambda s: encode_raplace(s, cfg.raplace)
-    if method in VLAD_METHODS:
-        if codebook is None:
-            raise ArgumentError(f"method {method!r} requires a codebook")
-        if method == METHOD_FFT_RADVLAD:
-            return lambda s: encode_vlad(
-                radial_fft_magnitude(preprocess_scan(s, cfg)).magnitude,
-                codebook,
-                l2_normalize=cfg.vlad_l2_normalize,
-            )
-        return lambda s: encode_vlad(
-            preprocess_scan(s, cfg).power, codebook, l2_normalize=cfg.vlad_l2_normalize
-        )
-    raise ArgumentError(f"unknown method {method!r}")
+    if method not in VLAD_METHODS:
+        raise ArgumentError(f"unknown method {method!r}")
+    if codebook is None:
+        raise ArgumentError(f"method {method!r} requires a codebook")
+    rows_of = _rows_of(method, cfg)
+    return lambda s: encode_vlad(rows_of(s), codebook, l2_normalize=cfg.vlad_l2_normalize)
 
 
 class PlaceMap(Sequence):
@@ -364,6 +362,21 @@ def _timed_map(fn, items, jobs: int, seconds: list):
         yield result
 
 
+def pair_setup(query: Trajectory, ref: Trajectory, cfg: RunConfig):
+    """Both trajectories downsampled by ``cfg.stride``, and the ground
+    truth between them: ``(query_scans, ref_scans, gt)``."""
+    query_scans = downsample_trajectory(query.scans, cfg.stride)
+    ref_scans = downsample_trajectory(ref.scans, cfg.stride)
+    if not query_scans or not ref_scans:
+        raise ArgumentError("both trajectories must contain at least one scan")
+    gt = ground_truth_matrix(
+        associate_poses(query_scans, query.poses),
+        associate_poses(ref_scans, ref.poses),
+        cfg.threshold_m,
+    )
+    return query_scans, ref_scans, gt
+
+
 def run_pair(
     query: Trajectory,
     ref: Trajectory,
@@ -383,14 +396,7 @@ def run_pair(
     """
     if method not in METHODS:
         raise ArgumentError(f"method must be one of {METHODS}, got {method!r}")
-    query_scans = downsample_trajectory(query.scans, cfg.stride)
-    ref_scans = downsample_trajectory(ref.scans, cfg.stride)
-    if not query_scans or not ref_scans:
-        raise ArgumentError("both trajectories must contain at least one scan")
-
-    query_poses = associate_poses(query_scans, query.poses)
-    ref_poses = associate_poses(ref_scans, ref.poses)
-    gt = ground_truth_matrix(query_poses, ref_poses, cfg.threshold_m)
+    query_scans, ref_scans, gt = pair_setup(query, ref, cfg)
 
     codebook = None
     if method in VLAD_METHODS:
@@ -555,12 +561,14 @@ def _single_thread_context():
 def bench_timings(method: str, scans, repetitions: int, cfg: RunConfig | None = None) -> TimingReport:
     """Time descriptor construction and one descriptor-pair comparison.
 
-    Each sample times a single encode (cycling through the given scans)
-    or a single distance/similarity evaluation between two fixed
-    descriptors. Preprocessing and codebook fitting happen outside the
-    timed region, and BLAS thread pools are pinned to one thread so the
-    samples are comparable across methods; the report records the BLAS
-    thread count in effect while timing.
+    Each build sample times one raw scan's encode, preprocessing
+    included, through the same per-method encoder as ``run_pair``
+    (cycling through the given scans); each distance sample times one
+    distance/similarity evaluation between two fixed descriptors. The
+    codebook is fitted on the scans outside the timed region, and BLAS
+    thread pools are pinned to one thread so the samples are comparable
+    across methods; the report records the BLAS thread count in effect
+    while timing.
     """
     if method not in METHODS:
         raise ArgumentError(f"method must be one of {METHODS}, got {method!r}")
@@ -571,35 +579,21 @@ def bench_timings(method: str, scans, repetitions: int, cfg: RunConfig | None = 
     if repetitions == 0:
         return TimingReport(method, np.zeros(0), np.zeros(0))
     cfg = cfg if cfg is not None else RunConfig(method=method)
-
-    if method == METHOD_RAPLACE:
-        inputs = list(scans)
-        encode = lambda s: encode_raplace(s, cfg.raplace)
-        compare = raplace_similarity
-    else:
-        inputs = [preprocess_scan(s, cfg) for s in scans]
-        if method == METHOD_RINGKEY:
-            encode = encode_ring_key
-            compare = descriptor_distance
-        else:
-            codebook = fit_method_codebook(scans, method, cfg)
-            if method == METHOD_FFT_RADVLAD:
-                encode = lambda s: encode_vlad(radial_fft_magnitude(s).magnitude, codebook)
-            else:
-                encode = lambda s: encode_vlad(s.power, codebook)
-            compare = descriptor_distance
+    codebook = fit_method_codebook(scans, method, cfg) if method in VLAD_METHODS else None
+    encode = _encoder(method, cfg, codebook)
+    compare = raplace_similarity if method == METHOD_RAPLACE else descriptor_distance
 
     build = np.empty(repetitions)
     distance = np.empty(repetitions)
     with _single_thread_context():
         threads = blas_threads()
         for i in range(repetitions):
-            item = inputs[i % len(inputs)]
+            item = scans[i % len(scans)]
             start = time.perf_counter()
             encode(item)
             build[i] = time.perf_counter() - start
-        left = encode(inputs[0])
-        right = encode(inputs[min(1, len(inputs) - 1)])
+        left = encode(scans[0])
+        right = encode(scans[min(1, len(scans) - 1)])
         for i in range(repetitions):
             start = time.perf_counter()
             compare(left, right)

@@ -18,16 +18,8 @@ import numpy as np
 from .config import METHOD_RAPLACE, METHOD_RINGKEY, RunConfig
 from .descriptors import RaplaceConfig, encode_ring_key
 from .errors import ArgumentError
-from .evaluate import (
-    _map_jobs,
-    associate_poses,
-    distance_matrix_from_descriptors,
-    downsample_trajectory,
-    encode_trajectory,
-    ground_truth_matrix,
-    recall_at_n,
-)
-from .scans import PolarScan, Trajectory, resample_range, suppress_near_range
+from .evaluate import _map_jobs, distance_matrix_from_descriptors, encode_trajectory, pair_setup, recall_at_n
+from .scans import PolarScan, Trajectory, resample_range
 
 SWEEP_CSV_HEADER = ["param1", "param2", "param3", "recall_at_1"]
 
@@ -37,28 +29,16 @@ def _ringkey_variant(scan: PolarScan, suppress_bins: int, azis: int, crop_bins: 
         raise ArgumentError(f"crop bins {crop_bins} outside [1, {scan.range_bin_count}]")
     if azis < 1 or scan.azimuth_count % azis != 0:
         raise ArgumentError(f"azimuth count {scan.azimuth_count} not divisible by {azis}")
-    s = suppress_near_range(scan, min(suppress_bins, crop_bins))
-    power = s.power[:: scan.azimuth_count // azis, :crop_bins]
-    reduced = PolarScan(power, s.range_resolution_m, s.timestamp_ns, s.id)
-    return encode_ring_key(resample_range(reduced, length))
-
-
-def _pair_setup(query: Trajectory, ref: Trajectory, cfg: RunConfig):
-    query_scans = downsample_trajectory(query.scans, cfg.stride)
-    ref_scans = downsample_trajectory(ref.scans, cfg.stride)
-    gt = ground_truth_matrix(
-        associate_poses(query_scans, query.poses),
-        associate_poses(ref_scans, ref.poses),
-        cfg.threshold_m,
-    )
-    return query_scans, ref_scans, gt
+    power = scan.power[:: scan.azimuth_count // azis, :crop_bins]
+    reduced = PolarScan(power, scan.range_resolution_m, scan.timestamp_ns, scan.id)
+    return encode_ring_key(resample_range(reduced, length, suppress_bins=min(suppress_bins, crop_bins)))
 
 
 def sweep_ringkey(
     query: Trajectory, ref: Trajectory, cfg: RunConfig, azis_list, bins_list, lengths, jobs: int = 1
 ) -> list:
     """Rows of (azis, bins, length, recall_at_1), full product order."""
-    query_scans, ref_scans, gt = _pair_setup(query, ref, cfg)
+    query_scans, ref_scans, gt = pair_setup(query, ref, cfg)
     rows = []
     for azis in azis_list:
         for bins in bins_list:
@@ -82,7 +62,7 @@ def sweep_raplace(
     """
     if len(resolutions) != len(widths):
         raise ArgumentError("resolutions and widths must pair up one-to-one")
-    query_scans, ref_scans, gt = _pair_setup(query, ref, cfg)
+    query_scans, ref_scans, gt = pair_setup(query, ref, cfg)
     rows = []
     for scale in scales:
         for resolution, width in zip(resolutions, widths):

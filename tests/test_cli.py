@@ -93,6 +93,15 @@ class TestHelp:
             assert default in text
 
 
+def test_config_flags_match_config_keys():
+    from radvlad.config import config_keys
+
+    localize = build_parser()._subparsers._group_actions[0].choices["localize"]
+    (group,) = [g for g in localize._action_groups if g.title.startswith("run configuration")]
+    flag_dests = {action.dest for action in group._group_actions} - {"config"}
+    assert flag_dests == {key.replace(".", "_") for key in config_keys()}
+
+
 class TestIngest:
     def test_writes_scans_and_poses(self, raw_source, tmp_path):
         out = tmp_path / "run"

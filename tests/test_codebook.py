@@ -163,6 +163,20 @@ class TestAssignNearest:
                     best, best_d = i, d
             assert assign_nearest(cb, x) == best
 
+    def test_agrees_with_nearest_centre_labels_on_training_set(self):
+        from radvlad.descriptors import nearest_centre_labels
+
+        rng = np.random.default_rng(10)
+        data = blobs(rng, rng.random((6, 12)), per_cluster=40, spread=0.2)
+        fitted = fit_kmeans_pp(data, 6, seed=3)
+        # Every centre twice over: each row's nearest centre has an exact
+        # twin, which the lowest-index rule must resolve the same way.
+        doubled = Codebook(np.vstack([fitted.centres, fitted.centres]), inertia=0.0, iterations_run=1)
+        for cb in (fitted, doubled):
+            labels = nearest_centre_labels(data, cb)
+            assert labels.max() < fitted.k
+            assert [assign_nearest(cb, row) for row in data] == labels.tolist()
+
     def test_dimension_mismatch(self):
         cb = Codebook(np.zeros((2, 3)), inertia=0.0, iterations_run=1)
         with pytest.raises(ArgumentError):

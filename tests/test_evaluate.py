@@ -374,6 +374,21 @@ class TestBenchTimings:
         with pytest.raises(ArgumentError):
             bench_timings("nope", bench_scans, 1)
 
+    def test_vlad_encodes_honour_l2_normalize(self, bench_scans, monkeypatch):
+        from radvlad import evaluate
+
+        seen = []
+        original = evaluate.encode_vlad
+
+        def spy(rows, codebook, l2_normalize=False):
+            seen.append(l2_normalize)
+            return original(rows, codebook, l2_normalize=l2_normalize)
+
+        monkeypatch.setattr(evaluate, "encode_vlad", spy)
+        cfg = RunConfig(method="fft_radvlad", suppress_bins=0, target_bins=64, k=4, vlad_l2_normalize=True)
+        bench_timings("fft_radvlad", bench_scans, 3, cfg)
+        assert seen == [True] * 5  # three timed builds, then the two compared descriptors
+
 
 def test_write_results_csv_multiple_runs(tmp_path):
     world = _World(seed=1, cfg=WorldConfig(n_places=4))
