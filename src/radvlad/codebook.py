@@ -17,6 +17,8 @@ from .errors import ArgumentError, IngestError
 
 CDBK_MAGIC = b"CDBK"
 _CDBK_HEADER = struct.Struct("<4sIIQ")
+# Elements squared at once by sq_norms: 512 KiB of float64.
+_NORM_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,18 @@ class Codebook:
 
 
 def sq_norms(x: np.ndarray) -> np.ndarray:
-    """Squared L2 norm of every row of ``x``."""
-    return (x * x).sum(axis=1)
+    """Squared L2 norm of every row of ``x``.
+
+    Rows are squared and summed a block at a time, so a large stack's
+    squares are never held whole; each row's sum is the one a single
+    pass over ``x`` gives.
+    """
+    out = np.empty(x.shape[0])
+    step = max(1, _NORM_BLOCK_ELEMENTS // max(1, x.shape[1]))
+    for start in range(0, x.shape[0], step):
+        block = x[start : start + step]
+        np.multiply(block, block).sum(axis=1, out=out[start : start + step])
+    return out
 
 
 def pairwise_sq_dist(a: np.ndarray, b: np.ndarray, a_sq=None, b_sq=None) -> np.ndarray:
@@ -75,26 +87,45 @@ def pairwise_sq_dist(a: np.ndarray, b: np.ndarray, a_sq=None, b_sq=None) -> np.n
         a_sq = sq_norms(a)
     if b_sq is None:
         b_sq = sq_norms(b)
-    d2 = a_sq[:, None] - 2.0 * a @ b.T + b_sq[None, :]
+    # Scaling the product, not ``a``, gives the same bits without an
+    # a-sized temporary.
+    d2 = a @ b.T
+    d2 *= -2.0
+    d2 += a_sq[:, None]
+    d2 += b_sq[None, :]
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _seed_centres(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _seed_centres(vectors: np.ndarray, vector_sq: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     # D^2 seeding: each next centre is drawn with probability proportional
     # to its squared distance from the nearest centre chosen so far.
     n = vectors.shape[0]
     centres = np.empty((k, vectors.shape[1]))
-    centres[0] = vectors[int(rng.integers(n))]
-    d2 = ((vectors - centres[0]) ** 2).sum(axis=1)
-    for i in range(1, k):
-        total = float(d2.sum())
-        if total <= 0.0:
-            raise ArgumentError(f"k={k} exceeds the number of distinct vectors")
-        threshold = rng.random() * total
-        idx = min(int(np.searchsorted(np.cumsum(d2), threshold, side="right")), n - 1)
+    idx = int(rng.integers(n))
+    d2 = np.full(n, np.inf)
+    for i in range(k):
+        if i > 0:
+            total = float(d2.sum())
+            if total <= 0.0:
+                raise ArgumentError(f"k={k} exceeds the number of distinct vectors")
+            threshold = rng.random() * total
+            idx = min(int(np.searchsorted(np.cumsum(d2), threshold, side="right")), n - 1)
         centres[i] = vectors[idx]
-        d2 = np.minimum(d2, ((vectors - centres[i]) ** 2).sum(axis=1))
+        if i < k - 1:
+            np.minimum(d2, _sq_dist_to_vector(vectors, vector_sq, idx), out=d2)
     return centres
+
+
+def _sq_dist_to_vector(vectors: np.ndarray, vector_sq: np.ndarray, idx: int) -> np.ndarray:
+    """Squared distance of every vector to vector ``idx``: one matrix-vector
+    product against the cached norms."""
+    d2 = pairwise_sq_dist(vectors, vectors[idx : idx + 1], vector_sq, vector_sq[idx : idx + 1])[:, 0]
+    # Exact copies of the vector lie at distance zero, so they are never
+    # drawn again; the expansion's rounding would leave them a small weight.
+    # A copy has the same cached norm, which keeps the exact compare small.
+    twins = np.flatnonzero((vector_sq == vector_sq[idx]) & (d2 != 0.0))
+    d2[twins[(vectors[twins] == vectors[idx]).all(axis=1)]] = 0.0
+    return d2
 
 
 def cluster_sums(rows: np.ndarray, labels: np.ndarray, k: int):
@@ -140,9 +171,8 @@ def fit_kmeans_pp(vectors, k: int, tol: float = 1e-4, seed: int = 0, max_iter: i
     if tol <= 0.0 or max_iter < 1:
         raise ArgumentError("tol must be positive and max_iter >= 1")
 
-    rng = np.random.default_rng(seed)
-    centres = _seed_centres(vectors, k, rng)
     vector_sq = sq_norms(vectors)
+    centres = _seed_centres(vectors, vector_sq, k, np.random.default_rng(seed))
 
     trace = []
     previous = None

@@ -34,6 +34,7 @@ from .config import (
     RunConfig,
 )
 from .descriptors import (
+    VladDescriptor,
     descriptor_distance,
     encode_raplace,
     encode_ring_key,
@@ -48,7 +49,7 @@ from .scans import (
     resample_range,
     suppress_near_range,  # perfbench/tracing.py wraps it in this namespace
 )
-from .spectral import radial_fft_magnitude
+from .spectral import fold_half_spectrum, is_mirror_symmetric, radial_fft_magnitude, unfold_half_spectrum
 
 DMAT_MAGIC = b"DMAT"
 _DMAT_HEADER = struct.Struct("<4sII")
@@ -205,22 +206,26 @@ def _map_jobs(fn, items, jobs: int):
 
 def _rows_of(method: str, cfg: RunConfig):
     """Per-scan closure giving the per-azimuth rows a residual method
-    clusters and aggregates: radial spectra or preprocessed power."""
+    clusters and aggregates: folded radial spectra
+    (``spectral.fold_half_spectrum``, W//2+1 columns) or preprocessed
+    power (W columns)."""
     if method == METHOD_FFT_RADVLAD:
-        return lambda s: radial_fft_magnitude(preprocess_scan(s, cfg)).magnitude
+        return lambda s: fold_half_spectrum(radial_fft_magnitude(preprocess_scan(s, cfg)).magnitude)
     if method == METHOD_RADVLAD:
         return lambda s: preprocess_scan(s, cfg).power
     raise ArgumentError(f"method {method!r} does not use a codebook")
 
 
 def training_rows(scans, method: str, cfg: RunConfig) -> np.ndarray:
-    """Stacked per-azimuth training vectors for codebook fitting.
+    """Stacked per-azimuth training vectors for codebook fitting, as
+    ``_rows_of`` gives them.
 
     Each scan's rows are written straight into one array sized up front,
     so the training set is held once.
     """
     rows_of = _rows_of(method, cfg)
-    out = np.empty((sum(s.azimuth_count for s in scans), cfg.target_bins))
+    width = cfg.target_bins // 2 + 1 if method == METHOD_FFT_RADVLAD else cfg.target_bins
+    out = np.empty((sum(s.azimuth_count for s in scans), width))
     start = 0
     for s in scans:
         out[start : start + s.azimuth_count] = rows_of(s)
@@ -229,8 +234,17 @@ def training_rows(scans, method: str, cfg: RunConfig) -> np.ndarray:
 
 
 def fit_method_codebook(ref_scans, method: str, cfg: RunConfig) -> Codebook:
+    """The method's codebook, fitted on the training rows of ``ref_scans``.
+
+    Radial spectra are fitted folded; the fold keeps every distance, so
+    the centres unfold to the full-width fit's up to rounding, and the
+    codebook is ``cfg.target_bins`` wide for either method.
+    """
     rows = training_rows(ref_scans, method, cfg)
-    return fit_kmeans_pp(rows, cfg.k, tol=cfg.kmeans_tol, seed=cfg.kmeans_seed, max_iter=cfg.kmeans_max_iter)
+    codebook = fit_kmeans_pp(rows, cfg.k, tol=cfg.kmeans_tol, seed=cfg.kmeans_seed, max_iter=cfg.kmeans_max_iter)
+    if method == METHOD_FFT_RADVLAD:
+        codebook = dc_replace(codebook, centres=unfold_half_spectrum(codebook.centres, cfg.target_bins))
+    return codebook
 
 
 def _encoder(method: str, cfg: RunConfig, codebook: Codebook | None = None):
@@ -246,7 +260,22 @@ def _encoder(method: str, cfg: RunConfig, codebook: Codebook | None = None):
     if codebook is None:
         raise ArgumentError(f"method {method!r} requires a codebook")
     rows_of = _rows_of(method, cfg)
-    return lambda s: encode_vlad(rows_of(s), codebook, l2_normalize=cfg.vlad_l2_normalize)
+    if method == METHOD_RADVLAD:
+        return lambda s: encode_vlad(rows_of(s), codebook, l2_normalize=cfg.vlad_l2_normalize)
+
+    # Radial spectra are labelled and aggregated folded, against centres
+    # folded once here; the k x (W//2+1) residual unfolds to the k x W
+    # descriptor. That needs centres that are spectra themselves.
+    k, width = codebook.k, codebook.width
+    if width != cfg.target_bins or not is_mirror_symmetric(codebook.centres):
+        raise ArgumentError(f"{method} needs a mirror-symmetric codebook of width {cfg.target_bins}")
+    folded = dc_replace(codebook, centres=fold_half_spectrum(codebook.centres))
+
+    def encode(scan):
+        half = encode_vlad(rows_of(scan), folded, l2_normalize=cfg.vlad_l2_normalize)
+        return VladDescriptor(unfold_half_spectrum(half.values.reshape(k, -1), width).reshape(-1), k, width)
+
+    return encode
 
 
 class PlaceMap(Sequence):

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import ArgumentError, NumericError
 from .scans import PolarScan
 
+_SQRT2 = np.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class SpectralScan:
@@ -50,12 +52,56 @@ def radial_fft_magnitude(scan: PolarScan) -> SpectralScan:
     power = scan.power
     if not np.isfinite(power).all():
         raise NumericError("scan power contains non-finite samples")
-    width = power.shape[1]
-    half = width // 2 + 1
     magnitude = np.empty(power.shape)
-    np.abs(np.fft.rfft(power, axis=1), out=magnitude[:, :half])
-    magnitude[:, half:] = magnitude[:, (width - 1) // 2 : 0 : -1]
-    return SpectralScan(magnitude)
+    np.abs(np.fft.rfft(power, axis=1), out=magnitude[:, : power.shape[1] // 2 + 1])
+    return SpectralScan(_mirror_upper_half(magnitude))
+
+
+def _mirror_upper_half(rows: np.ndarray) -> np.ndarray:
+    """Fill columns W//2+1..W-1 of ``rows`` in place with |F(W - rho)| = |F(rho)|."""
+    width = rows.shape[-1]
+    rows[..., width // 2 + 1 :] = rows[..., (width - 1) // 2 : 0 : -1]
+    return rows
+
+
+def is_mirror_symmetric(rows: np.ndarray) -> bool:
+    """Whether every row has x[W - rho] == x[rho] exactly, as radial DFT
+    magnitudes and unfolded rows do."""
+    width = rows.shape[-1]
+    return np.array_equal(rows[..., width // 2 + 1 :], rows[..., (width - 1) // 2 : 0 : -1])
+
+
+def _paired_columns(width: int) -> slice:
+    """Columns 1..(W-1)//2 of a length-W spectrum: those with a distinct mirror
+    column. DC and, for even W, Nyquist are their own mirror images."""
+    return slice(1, (width + 1) // 2)
+
+
+def fold_half_spectrum(rows) -> np.ndarray:
+    """Fold mirror-symmetric length-W rows onto their W//2+1 leading columns.
+
+    Columns 0..W//2 are kept and each column with a distinct mirror
+    column is scaled by sqrt(2), so that on rows with x[W - rho] = x[rho]
+    (every radial DFT magnitude) the fold is a linear isometry: squared
+    distances and dot products are kept, and means and sums of folded
+    rows are the folds of the full-width ones.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    width = rows.shape[-1]
+    folded = rows[..., : width // 2 + 1].copy()
+    folded[..., _paired_columns(width)] *= _SQRT2
+    return folded
+
+
+def unfold_half_spectrum(folded, width: int) -> np.ndarray:
+    """The length-``width`` mirror-symmetric rows whose fold is ``folded``."""
+    folded = np.asarray(folded, dtype=np.float64)
+    if width < 1 or folded.shape[-1] != width // 2 + 1:
+        raise ArgumentError(f"{folded.shape[-1]} folded columns do not unfold to width {width}")
+    rows = np.empty((*folded.shape[:-1], width))
+    rows[..., : width // 2 + 1] = folded
+    rows[..., _paired_columns(width)] /= _SQRT2
+    return _mirror_upper_half(rows)
 
 
 def naive_dft_magnitude(row) -> np.ndarray:

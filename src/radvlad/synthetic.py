@@ -79,14 +79,16 @@ def render_polar(
     max_range_m: float = 60.0,
     beam_sigma_bins: float = 1.5,
     noise_sigma: float = 0.0,
-    seed: int = 0,
+    seed=0,
 ) -> PolarScan:
     """Render the scene from a pose as an H x W polar power raster.
 
     Each reflector adds a Gaussian blob of width ``beam_sigma_bins`` (in
     bin units, both axes, wrapping in azimuth) centred at its range and
     bearing relative to the pose and scaled by its intensity. Gaussian
-    noise of the given std is then added, and power is clipped to [0, 1].
+    noise of the given std, drawn from ``np.random.default_rng(seed)``
+    (an int or a sequence of ints), is then added, and power is clipped
+    to [0, 1].
     """
     if n_azimuths < 1 or n_bins < 1:
         raise ArgumentError("n_azimuths and n_bins must be >= 1")
@@ -188,7 +190,10 @@ class PlaceWorld:
             for p in range(cfg.n_places)
         ]
 
-    def _trajectory(self, name: str, places, local_poses) -> Trajectory:
+    def _trajectory(self, name: str, places, local_poses, noise_key: tuple) -> Trajectory:
+        # Scan i's render noise is seeded by (world seed, *noise_key, i);
+        # each trajectory kind has its own noise_key, so a reference scan
+        # and a query scan never share a noise draw.
         cfg = self.cfg
         scans, east, north = [], [], []
         for i, (place, pose) in enumerate(zip(places, local_poses)):
@@ -200,7 +205,7 @@ class PlaceWorld:
                 max_range_m=cfg.max_range_m,
                 beam_sigma_bins=cfg.beam_sigma_bins,
                 noise_sigma=cfg.noise_sigma,
-                seed=self.seed * _SCENE_SEED_STRIDE + i,
+                seed=[self.seed, *noise_key, i],
             )
             scans.append(replace(scan, timestamp_ns=i * _TIMESTAMP_STEP_NS, id=f"{name}-{i:06d}"))
             east.append(place * cfg.spacing_m + pose.x_m)
@@ -215,7 +220,7 @@ class PlaceWorld:
     def reference_trajectory(self) -> Trajectory:
         """One scan per place, sensor at the scene origin, heading zero."""
         places = list(range(self.cfg.n_places))
-        return self._trajectory("reference", places, [SensorPose(0.0, 0.0)] * len(places))
+        return self._trajectory("reference", places, [SensorPose(0.0, 0.0)] * len(places), (0,))
 
     def rotated_query_trajectory(self, trials: int, seed: int) -> Trajectory:
         """Queries cycling through the places with random integer-step headings."""
@@ -225,7 +230,7 @@ class PlaceWorld:
             places.append(t % self.cfg.n_places)
             step = int(rng.integers(self.cfg.n_azimuths))
             poses.append(SensorPose(0.0, 0.0, 2.0 * np.pi * step / self.cfg.n_azimuths))
-        return self._trajectory("rotated-query", places, poses)
+        return self._trajectory("rotated-query", places, poses, (1, seed))
 
     def translated_query_trajectory(self, min_m: float, max_m: float, seed: int) -> Trajectory:
         """One query per place, offset by a random 2-D shift of |t| in [min_m, max_m]."""
@@ -238,4 +243,4 @@ class PlaceWorld:
             poses.append(
                 SensorPose(magnitude * np.cos(direction), magnitude * np.sin(direction), 0.0)
             )
-        return self._trajectory("translated-query", places, poses)
+        return self._trajectory("translated-query", places, poses, (2, seed))

@@ -10,7 +10,11 @@ from radvlad import (
     load_codebook,
     save_codebook,
 )
-from radvlad.codebook import _update_centres, cluster_sums, pairwise_sq_dist, sq_norms
+from radvlad import codebook as codebook_module
+from radvlad.codebook import _seed_centres, _update_centres, cluster_sums, pairwise_sq_dist, sq_norms
+from radvlad.evaluate import fit_method_codebook
+from radvlad.scenarios import synthetic_run_config
+from radvlad.synthetic import PlaceWorld, WorldConfig
 
 
 def blobs(rng, centres, per_cluster=30, spread=0.05):
@@ -18,6 +22,56 @@ def blobs(rng, centres, per_cluster=30, spread=0.05):
     data = np.concatenate(points)
     rng.shuffle(data)
     return data
+
+
+def direct_seed_centres(vectors, vector_sq, k, rng):
+    """k-means++ seeding with each D^2 update by the direct formula
+    sum((x - c) ** 2): the reference the cached-norm seeding must match.
+    ``vector_sq`` is unused; it keeps ``_seed_centres``'s signature."""
+    n = vectors.shape[0]
+    centres = np.empty((k, vectors.shape[1]))
+    centres[0] = vectors[int(rng.integers(n))]
+    d2 = ((vectors - centres[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            raise ArgumentError("k exceeds the number of distinct vectors")
+        idx = min(int(np.searchsorted(np.cumsum(d2), rng.random() * total, side="right")), n - 1)
+        centres[i] = vectors[idx]
+        d2 = np.minimum(d2, ((vectors - centres[i]) ** 2).sum(axis=1))
+    return centres
+
+
+class TestSeeding:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_cached_norm_seeding_picks_the_direct_formula_centres(self, seed):
+        rng = np.random.default_rng(20 + seed)
+        data = blobs(rng, 10.0 * rng.standard_normal((12, 40)), per_cluster=40, spread=0.5)
+        for k in (1, 12, 30):
+            got = _seed_centres(data, sq_norms(data), k, np.random.default_rng(seed))
+            want = direct_seed_centres(data, sq_norms(data), k, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+
+    def test_exact_copies_of_a_centre_are_never_drawn_again(self):
+        # In the expanded kernel some of these rows' distances to
+        # themselves round to a small positive value, not to zero.
+        data = np.repeat(np.random.default_rng(13).random((40, 9)) * 1e3, 3, axis=0)
+        for seed in range(5):
+            centres = _seed_centres(data, sq_norms(data), 40, np.random.default_rng(seed))
+            assert len({tuple(c) for c in centres.tolist()}) == 40
+            with pytest.raises(ArgumentError):
+                _seed_centres(data, sq_norms(data), 41, np.random.default_rng(seed))
+
+    def test_radvlad_codebook_matches_direct_formula_seeding(self, monkeypatch):
+        world = PlaceWorld(seed=2, cfg=WorldConfig(n_places=8))
+        scans = world.reference_trajectory().scans
+        cfg = synthetic_run_config(world.cfg, "radvlad", k=8)
+        fitted = fit_method_codebook(scans, "radvlad", cfg)
+        monkeypatch.setattr(codebook_module, "_seed_centres", direct_seed_centres)
+        direct = fit_method_codebook(scans, "radvlad", cfg)
+        assert np.array_equal(fitted.centres, direct.centres)
+        assert fitted.inertia == direct.inertia
+        assert fitted.iterations_run == direct.iterations_run
 
 
 class TestFit:
@@ -123,6 +177,19 @@ class TestPairwiseSqDist:
         brute = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
         assert np.allclose(d2, brute, rtol=1e-12, atol=1e-12)
         assert np.array_equal(pairwise_sq_dist(a, b, sq_norms(a), sq_norms(b)), d2)
+
+    def test_scaling_the_product_gives_the_bits_of_scaling_the_operand(self):
+        rng = np.random.default_rng(7)
+        a, b = rng.random((300, 257)) * 1e2, rng.random((64, 257))
+        a_sq, b_sq = sq_norms(a), sq_norms(b)
+        expanded = a_sq[:, None] - 2.0 * a @ b.T + b_sq[None, :]
+        assert np.array_equal(pairwise_sq_dist(a, b, a_sq, b_sq), np.maximum(expanded, 0.0))
+
+    def test_blocked_norms_match_one_pass(self):
+        rng = np.random.default_rng(8)
+        for shape in [(0, 3), (1, 1), (7, 12), (9600, 257), (40, 32768)]:
+            x = rng.standard_normal(shape) * 1e3
+            assert np.array_equal(sq_norms(x), (x * x).sum(axis=1))
 
     def test_self_distance_clamped_non_negative(self):
         a = np.random.default_rng(6).standard_normal((20, 64)) * 1e3

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from radvlad import (
     ArgumentError,
+    Codebook,
     DistanceMatrix,
     GroundTruthMatrix,
     PlaceWorld,
@@ -13,12 +16,15 @@ from radvlad import (
     bench_timings,
     descriptor_distance,
     downsample_trajectory,
+    encode_vlad,
+    fit_kmeans_pp,
     ground_truth_matrix,
+    radial_fft_magnitude,
     recall_at_n,
     run_pair,
     write_timing_csv,
 )
-from radvlad.descriptors import RingKeyDescriptor, raplace_similarity
+from radvlad.descriptors import RingKeyDescriptor, nearest_centre_labels, raplace_similarity
 from radvlad.evaluate import (
     PlaceMap,
     _openblas_thread_functions,
@@ -27,7 +33,9 @@ from radvlad.evaluate import (
     distance_matrix_from_descriptors,
     encode_trajectory,
     fit_method_codebook,
+    preprocess_scan,
     read_distance_matrix,
+    training_rows,
     write_distance_matrix,
     write_results_csv,
 )
@@ -320,6 +328,51 @@ class TestPlaceMap:
         short = [RingKeyDescriptor(d.values[:-1]) for d in refs]
         with pytest.raises(ArgumentError):
             distance_matrix_from_descriptors("ringkey", short, refs)
+
+
+class TestFoldedSpectra:
+    """fft_radvlad fits and encodes on folded half spectra; every output
+    must match the full-width computation up to rounding."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        world = _World(seed=4, cfg=WorldConfig(n_places=10))
+        scans = world.reference_trajectory().scans
+        cfg = synthetic_run_config(world.cfg, "fft_radvlad", k=8)
+        full_rows = np.vstack([radial_fft_magnitude(preprocess_scan(s, cfg)).magnitude for s in scans])
+        return scans, cfg, full_rows, fit_method_codebook(scans, "fft_radvlad", cfg)
+
+    def test_training_rows_are_folded(self, fitted):
+        scans, cfg, full_rows, _ = fitted
+        assert training_rows(scans, "fft_radvlad", cfg).shape == (len(full_rows), cfg.target_bins // 2 + 1)
+        assert training_rows(scans, "radvlad", cfg).shape == full_rows.shape
+
+    def test_folded_fit_matches_full_width_fit(self, fitted):
+        _, cfg, full_rows, folded = fitted
+        full = fit_kmeans_pp(full_rows, cfg.k, tol=cfg.kmeans_tol, seed=cfg.kmeans_seed, max_iter=cfg.kmeans_max_iter)
+        assert folded.width == full.width == cfg.target_bins
+        assert folded.iterations_run == full.iterations_run
+        assert folded.inertia == pytest.approx(full.inertia, rel=1e-12)
+        assert np.abs(folded.centres - full.centres).max() <= 1e-12
+        assert np.array_equal(nearest_centre_labels(full_rows, folded), nearest_centre_labels(full_rows, full))
+
+    @pytest.mark.parametrize("l2_normalize", [False, True])
+    def test_encoder_matches_full_width_encode_vlad(self, fitted, l2_normalize):
+        scans, cfg, _, codebook = fitted
+        cfg = replace(cfg, vlad_l2_normalize=l2_normalize)
+        for scan, desc in zip(scans, encode_trajectory(scans, "fft_radvlad", cfg, codebook)):
+            rows = radial_fft_magnitude(preprocess_scan(scan, cfg)).magnitude
+            want = encode_vlad(rows, codebook, l2_normalize=l2_normalize).values
+            assert (desc.k, desc.w) == (codebook.k, codebook.width)
+            assert np.abs(desc.values - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_encoder_rejects_centres_that_are_not_spectra(self, fitted):
+        scans, cfg, _, codebook = fitted
+        skewed = Codebook(codebook.centres + np.arange(cfg.target_bins), inertia=0.0, iterations_run=0)
+        narrow = Codebook(codebook.centres[:, : cfg.target_bins - 1], inertia=0.0, iterations_run=0)
+        for bad in (skewed, narrow):
+            with pytest.raises(ArgumentError):
+                encode_trajectory(scans[:1], "fft_radvlad", cfg, bad)
 
 
 class TestBlasPin:

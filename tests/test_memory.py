@@ -1,0 +1,43 @@
+"""Allocation bounds on the set-up path, measured with tracemalloc.
+
+NumPy reports its array buffers to tracemalloc, so the traced peak of a
+call is the largest set of arrays it held at once. Inputs are made
+before tracing starts and are not counted.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from radvlad import VladDescriptor, fit_kmeans_pp
+from radvlad.evaluate import PlaceMap
+
+
+def traced_peak_bytes(fn):
+    """(result of fn(), peak bytes newly allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - base
+
+
+def test_place_map_holds_its_stack_about_once():
+    k, width, count = 16, 512, 128
+    rng = np.random.default_rng(0)
+    descriptors = [VladDescriptor(rng.standard_normal(k * width), k, width) for _ in range(count)]
+    place_map, peak = traced_peak_bytes(lambda: PlaceMap("fft_radvlad", descriptors))
+    assert place_map.stack.nbytes == count * k * width * 8
+    assert peak < 1.25 * place_map.stack.nbytes
+
+
+def test_codebook_fit_makes_no_second_copy_of_its_input():
+    # Wide rows and few centres: every legitimate temporary (norms,
+    # labels, n x k distances, the one-hot matrix) is far below n x W.
+    rows = np.random.default_rng(1).random((2000, 512))
+    codebook, peak = traced_peak_bytes(lambda: fit_kmeans_pp(rows, 4, seed=0, max_iter=3))
+    assert codebook.iterations_run >= 1
+    assert peak < 0.5 * rows.nbytes

@@ -8,6 +8,7 @@ from radvlad import (
     naive_dft_magnitude,
     radial_fft_magnitude,
 )
+from radvlad.spectral import fold_half_spectrum, unfold_half_spectrum
 
 
 def spectrum_of(rows):
@@ -98,6 +99,47 @@ class TestSpectralProperties:
         assert out.magnitude.shape == (400, 512)
         assert out.azimuth_count == 400
         assert out.bin_count == 512
+
+
+WIDTHS = [1, 2, 3, 8, 9, 512, 513]
+
+
+class TestHalfSpectrumFold:
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_unfold_inverts_fold(self, width):
+        rows = spectrum_of(np.random.default_rng(width).random((20, width)))
+        folded = fold_half_spectrum(rows)
+        assert folded.shape == (20, width // 2 + 1)
+        back = unfold_half_spectrum(folded, width)
+        # sqrt(2) scaling and unscaling may round the last bit.
+        assert np.all(np.abs(back - rows) <= 2.5e-16 * np.abs(rows))
+        assert np.array_equal(back[:, 1:], back[:, :0:-1])
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_fold_keeps_squared_distances_and_dot_products(self, width):
+        rng = np.random.default_rng(100 + width)
+        a = spectrum_of(rng.random((15, width)))
+        b = spectrum_of(rng.random((11, width)))
+        fa, fb = fold_half_spectrum(a), fold_half_spectrum(b)
+        full = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        half = ((fa[:, None, :] - fb[None, :, :]) ** 2).sum(axis=2)
+        assert np.allclose(half, full, rtol=1e-13, atol=0.0)
+        assert np.allclose(fa @ fb.T, a @ b.T, rtol=1e-13, atol=0.0)
+
+    def test_dc_and_nyquist_are_not_scaled(self):
+        rows = np.arange(1.0, 9.0)[None, :]
+        rows = rows + rows[:, (-np.arange(8)) % 8]  # make the row mirror-symmetric
+        folded = fold_half_spectrum(rows)
+        assert folded[0, 0] == rows[0, 0] and folded[0, 4] == rows[0, 4]
+        assert np.allclose(folded[0, 1:4], np.sqrt(2.0) * rows[0, 1:4], rtol=1e-15)
+
+    def test_fold_commutes_with_sums(self):
+        rows = spectrum_of(np.random.default_rng(3).random((40, 64)))
+        assert np.allclose(fold_half_spectrum(rows.sum(axis=0)), fold_half_spectrum(rows).sum(axis=0), rtol=1e-13)
+
+    def test_unfold_rejects_mismatched_width(self):
+        with pytest.raises(ArgumentError):
+            unfold_half_spectrum(np.zeros((2, 5)), 7)
 
 
 class TestErrors:

@@ -134,3 +134,33 @@ class TestPlaceWorld:
             query.poses.northing_m - ref.poses.northing_m,
         )
         assert (offsets >= 1.0).all() and (offsets <= 5.0).all()
+
+    def test_reference_and_query_scans_draw_independent_noise(self):
+        # An empty scene renders clipped noise alone.
+        world = PlaceWorld(seed=3, cfg=WorldConfig(n_places=4, n_reflectors=0, noise_sigma=0.5))
+        ref = world.reference_trajectory()
+        rotated = world.rotated_query_trajectory(4, seed=5)
+        translated = world.translated_query_trajectory(1.0, 2.0, seed=5)
+        for i in range(4):
+            draws = [ref.scans[i].power.ravel(), rotated.scans[i].power.ravel(), translated.scans[i].power.ravel()]
+            corr = np.corrcoef(draws)
+            assert np.abs(corr[np.triu_indices(3, 1)]).max() < 0.1
+        again = world.rotated_query_trajectory(4, seed=6)
+        assert not np.array_equal(again.scans[0].power, rotated.scans[0].power)
+        repeat = PlaceWorld(seed=3, cfg=world.cfg).reference_trajectory()
+        assert all(np.array_equal(a.power, b.power) for a, b in zip(repeat.scans, ref.scans))
+
+    def test_noise_free_scans_do_not_depend_on_the_noise_seed(self):
+        cfg = WorldConfig(n_places=3)
+        world = PlaceWorld(seed=1, cfg=cfg)
+        for i, scan in enumerate(world.reference_trajectory().scans):
+            direct = render_polar(
+                world.scenes[i],
+                SensorPose(0.0, 0.0),
+                n_azimuths=cfg.n_azimuths,
+                n_bins=cfg.n_bins,
+                max_range_m=cfg.max_range_m,
+                beam_sigma_bins=cfg.beam_sigma_bins,
+                seed=12345,
+            )
+            assert scan.power.tobytes() == direct.power.tobytes()
