@@ -158,12 +158,18 @@ def fit_kmeans_pp(vectors, k: int, tol: float = 1e-4, seed: int = 0, max_iter: i
     Iteration stops when the relative decrease in inertia is <= ``tol`` or
     after ``max_iter`` assignment passes. The whole procedure is
     deterministic for a fixed (vectors order, k, tol, seed, max_iter).
+
+    Finiteness is checked on the rows' squared norms, so a row whose
+    squared norm overflows is rejected along with rows holding NaN or
+    infinity; the distance expansion could not rank it either.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] < 1:
         raise ArgumentError("vectors must be a non-empty n x W matrix")
-    if not np.isfinite(vectors).all():
-        raise ArgumentError("vectors must be finite")
+    with np.errstate(over="ignore"):  # an overflowed norm is rejected just below
+        vector_sq = sq_norms(vectors)
+    if not np.isfinite(vector_sq).all():
+        raise ArgumentError("vectors must be finite, with finite squared norms")
     if k < 1:
         raise ArgumentError(f"k must be >= 1, got {k}")
     if k > vectors.shape[0]:
@@ -171,7 +177,6 @@ def fit_kmeans_pp(vectors, k: int, tol: float = 1e-4, seed: int = 0, max_iter: i
     if tol <= 0.0 or max_iter < 1:
         raise ArgumentError("tol must be positive and max_iter >= 1")
 
-    vector_sq = sq_norms(vectors)
     centres = _seed_centres(vectors, vector_sq, k, np.random.default_rng(seed))
 
     trace = []

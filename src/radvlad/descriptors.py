@@ -15,6 +15,7 @@ Four place encodings are provided:
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -150,9 +151,11 @@ def descriptor_distance(a, b) -> float:
 
 
 # Sampling tables for the rotate-and-sum Radon transform are cached per
-# (side, n_angles) while they stay within this budget.
+# (side, n_angles) while they stay within this budget; the lock makes
+# concurrent encoders build a cached geometry once.
 _TABLE_CACHE_LIMIT_BYTES = 128 * 1024 * 1024
 _table_cache: dict = {}
+_table_lock = threading.Lock()
 
 
 def _angle_table(side: int, phi: float, xs: np.ndarray, ys: np.ndarray):
@@ -166,22 +169,24 @@ def _angle_table(side: int, phi: float, xs: np.ndarray, ys: np.ndarray):
     return y0 * side + x0, sx - x0, sy - y0, inside.astype(np.float64)
 
 
+def _angle_tables(side: int, n_angles: int):
+    """Yield every angle's sampling table in angle order, one at a time."""
+    ys, xs = (np.mgrid[0:side, 0:side] - (side - 1) / 2.0).reshape(2, -1)
+    for a in range(n_angles):
+        yield _angle_table(side, np.pi * a / n_angles, xs, ys)
+
+
 def _rotation_tables(side: int, n_angles: int):
+    """The sampling tables of every angle: the cached list when they fit
+    the cache budget, else a generator that holds one table at a time."""
+    if n_angles * side * side * 28 > _TABLE_CACHE_LIMIT_BYTES:
+        return _angle_tables(side, n_angles)
     key = (side, n_angles)
-    cached = _table_cache.get(key)
-    if cached is not None:
-        return cached
-    centre = (side - 1) / 2.0
-    iy, ix = np.mgrid[0:side, 0:side]
-    xs = (ix - centre).ravel()
-    ys = (iy - centre).ravel()
-    tables = [
-        _angle_table(side, np.pi * a / n_angles, xs, ys) for a in range(n_angles)
-    ]
-    if n_angles * side * side * 28 <= _TABLE_CACHE_LIMIT_BYTES:
-        _table_cache.clear()
-        _table_cache[key] = tables
-    return tables
+    with _table_lock:
+        if key not in _table_cache:
+            _table_cache.clear()
+            _table_cache[key] = list(_angle_tables(side, n_angles))
+        return _table_cache[key]
 
 
 def radon_sinogram(scan: CartesianScan, n_angles: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import ctypes
+import functools
 import struct
 import time
 import warnings
@@ -72,14 +73,6 @@ class GroundTruthMatrix:
         if self.threshold_m <= 0.0:
             raise ArgumentError("threshold_m must be positive")
         object.__setattr__(self, "is_match", is_match)
-
-    @property
-    def rows(self) -> int:
-        return self.is_match.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.is_match.shape[1]
 
 
 @dataclass(frozen=True)
@@ -285,9 +278,9 @@ class PlaceMap(Sequence):
     they arrive, into one contiguous read-only float64 ``stack`` and each
     descriptor is re-pointed at its row, so the map holds a single copy
     and writing to a descriptor raises instead of leaving a cache stale.
-    Vector methods cache every row's squared norm (``sq_norms``);
-    ``raplace`` caches the conjugated angle-axis FFT of every spectrum
-    (``fft_conj``) and its Frobenius norm (``norms``).
+    Matching reads every row's squared norm (``sq_norms``), or for
+    ``raplace`` every spectrum's conjugated angle-axis FFT (``fft_conj``)
+    and Frobenius norm (``norms``); each is computed on first use and kept.
     """
 
     def __init__(self, method: str, descriptors, count: int | None = None):
@@ -309,21 +302,12 @@ class PlaceMap(Sequence):
                 raise ArgumentError(f"descriptor {i} does not fit a map of {count} x {stack.shape[1:]}")
             stack[i] = array
             # A view keeps its own write flag, so freezing the stack later would not cover it.
-            row = stack[i]
-            row.setflags(write=False)
-            placed.append(dc_replace(descriptor, **{field: row}))
+            placed.append(dc_replace(descriptor, **{field: _frozen(stack[i])}))
         if len(placed) != count:
             raise ArgumentError(f"expected {count} descriptors, got {len(placed)}")
-        stack.setflags(write=False)
-        self.method = method
-        self.stack = stack
+        self._field = field
+        self.stack = _frozen(stack)
         self._descriptors = tuple(placed)
-        self.sq_norms = self.fft_conj = self.norms = None
-        if method == METHOD_RAPLACE:
-            self.fft_conj = _frozen(np.conj(np.fft.fft(stack, axis=1)))
-            self.norms = _frozen(np.array([np.linalg.norm(spectrum) for spectrum in stack]))
-        else:
-            self.sq_norms = _frozen(sq_norms(stack))
 
     def __len__(self) -> int:
         return len(self._descriptors)
@@ -331,16 +315,26 @@ class PlaceMap(Sequence):
     def __getitem__(self, index):
         return self._descriptors[index]
 
+    @functools.cached_property
+    def sq_norms(self) -> np.ndarray:
+        return _frozen(sq_norms(self.stack))
+
+    @functools.cached_property
+    def fft_conj(self) -> np.ndarray:
+        return _frozen(np.conj(np.fft.fft(self.stack, axis=1)))
+
+    @functools.cached_property
+    def norms(self) -> np.ndarray:
+        return _frozen(_frobenius_norms(self.stack))
+
+
+def _frobenius_norms(spectra: np.ndarray) -> np.ndarray:
+    return np.array([np.linalg.norm(spectrum) for spectrum in spectra])
+
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
-
-
-def _as_map(method: str, descriptors) -> PlaceMap:
-    if isinstance(descriptors, PlaceMap) and descriptors.method == method:
-        return descriptors
-    return PlaceMap(method, descriptors)
 
 
 def encode_trajectory(scans, method: str, cfg: RunConfig, codebook: Codebook | None = None, jobs: int = 1) -> PlaceMap:
@@ -348,16 +342,16 @@ def encode_trajectory(scans, method: str, cfg: RunConfig, codebook: Codebook | N
     return PlaceMap(method, _map_jobs(_encoder(method, cfg, codebook), scans, jobs), len(scans))
 
 
-def _raplace_similarity_matrix(queries: PlaceMap, refs: PlaceMap) -> np.ndarray:
-    """Pairwise peak circular correlation, normalised by descriptor norms.
+def _raplace_similarity_matrix(queries: np.ndarray, refs: PlaceMap) -> np.ndarray:
+    """Peak circular correlation of every query spectrum with the map's, normalised by descriptor norms.
 
     The normalisation bounds every entry by 1 with equality only for a
     self pair at zero shift, so the self descriptor is always the
     similarity extremum; raw correlation would instead favour references
     with large spectral mass.
     """
-    fq = np.conj(queries.fft_conj)
-    scale = np.maximum(queries.norms[:, None] * refs.norms[None, :], np.finfo(float).tiny)
+    fq = np.fft.fft(queries, axis=1)
+    scale = np.maximum(_frobenius_norms(queries)[:, None] * refs.norms[None, :], np.finfo(float).tiny)
     sim = np.empty((len(queries), len(refs)))
     for i in range(len(queries)):
         corr = np.fft.ifft((fq[i][None, :, :] * refs.fft_conj).sum(axis=2), axis=1).real
@@ -366,16 +360,21 @@ def _raplace_similarity_matrix(queries: PlaceMap, refs: PlaceMap) -> np.ndarray:
 
 
 def distance_matrix_from_descriptors(method: str, query_descs, ref_descs) -> DistanceMatrix:
-    """Queries-by-references distances; either side may be a ``PlaceMap``
-    or a plain sequence of descriptors, which is stacked on the fly."""
-    queries, refs = _as_map(method, query_descs), _as_map(method, ref_descs)
-    if queries.stack.shape[1:] != refs.stack.shape[1:]:
-        raise ArgumentError(
-            f"descriptor shapes differ between query {queries.stack.shape[1:]} and reference {refs.stack.shape[1:]}"
-        )
+    """Queries-by-references distances. The references are matched as a
+    ``PlaceMap``, built here from a plain sequence of descriptors; the
+    queries are stacked, or a query ``PlaceMap``'s stack is taken as is."""
+    refs = ref_descs if isinstance(ref_descs, PlaceMap) else PlaceMap(method, ref_descs)
+    shape = refs.stack.shape[1:]
+    if isinstance(query_descs, PlaceMap):
+        queries = query_descs.stack
+    else:
+        queries = [getattr(descriptor, refs._field) for descriptor in query_descs]
+    if len(queries) == 0 or any(query.shape != shape for query in queries):
+        raise ArgumentError(f"queries must be one or more descriptors of the reference shape {shape}")
+    queries = np.asarray(queries)
     if method == METHOD_RAPLACE:
         return DistanceMatrix.from_similarity(_raplace_similarity_matrix(queries, refs))
-    return DistanceMatrix(pairwise_sq_dist(queries.stack, refs.stack, queries.sq_norms, refs.sq_norms))
+    return DistanceMatrix(pairwise_sq_dist(queries, refs.stack, b_sq=refs.sq_norms))
 
 
 def _timed_map(fn, items, jobs: int, seconds: list):

@@ -69,8 +69,8 @@ def run_translation_scenario(
     """Paired run on translated queries: raw-row VLAD vs spectral VLAD.
 
     Returns (raw, spectral) runs over identical queries; when out_dir is
-    set, a combined results.csv plus per-method distance matrices and
-    codebooks are written.
+    set, a combined results.csv and one ``distances_<method>.dmat`` per
+    method are written there (the codebooks stay on the returned runs).
     """
     world = PlaceWorld(seed, world_cfg)
     ref = world.reference_trajectory()

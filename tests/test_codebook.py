@@ -139,6 +139,13 @@ class TestFit:
         with pytest.raises(ArgumentError):
             fit_kmeans_pp(duplicated, 3, seed=0)  # k > distinct count
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_rows_that_are_not_finite_or_overflow_their_norm_are_rejected(self, bad):
+        data = np.random.default_rng(7).random((20, 3))
+        data[11, 1] = bad
+        with pytest.raises(ArgumentError, match="finite"):
+            fit_kmeans_pp(data, 2, seed=0)
+
     def test_empty_cluster_reseeded_at_farthest_vector(self):
         data = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [9.0, 9.0]])
         centres = np.array([[0.05, 0.05], [100.0, 100.0], [0.0, 0.05]])

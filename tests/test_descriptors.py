@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,10 @@ from radvlad import (
     render_polar,
     save_descriptor,
 )
+from radvlad import descriptors
+from radvlad.evaluate import encode_trajectory
+from radvlad.scenarios import synthetic_run_config
+from radvlad.synthetic import PlaceWorld, WorldConfig
 
 
 def vlad_oracle(rows, centres):
@@ -201,6 +207,38 @@ class TestRadonSinogram:
     def test_bad_angle_count(self):
         with pytest.raises(ArgumentError):
             radon_sinogram(CartesianScan(np.zeros((8, 8)), 1.0), 0)
+
+    def test_streamed_tables_give_the_cached_sinogram(self, monkeypatch):
+        image = CartesianScan(np.random.default_rng(4).random((48, 48)), 1.0)
+        monkeypatch.setattr(descriptors, "_table_cache", {})
+        cached = radon_sinogram(image, 40)
+        assert (48, 40) in descriptors._table_cache
+        monkeypatch.setattr(descriptors, "_TABLE_CACHE_LIMIT_BYTES", 0)
+        monkeypatch.setattr(descriptors, "_table_cache", {})
+        streamed = radon_sinogram(image, 40)
+        assert not descriptors._table_cache
+        assert streamed.tobytes() == cached.tobytes()
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_parallel_encoders_build_a_cached_geometry_once(self, monkeypatch, jobs):
+        world = PlaceWorld(seed=2, cfg=WorldConfig(n_places=4))
+        cfg = synthetic_run_config(world.cfg, "raplace")
+        build = descriptors._angle_table
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return build(*args)
+
+        monkeypatch.setattr(descriptors, "_angle_table", counted)
+        monkeypatch.setattr(descriptors, "_table_cache", {})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            encode_trajectory(world.reference_trajectory().scans, "raplace", cfg, jobs=jobs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == cfg.raplace.angles
 
 
 class TestEncodeRaplace:

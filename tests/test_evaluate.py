@@ -24,7 +24,13 @@ from radvlad import (
     run_pair,
     write_timing_csv,
 )
-from radvlad.descriptors import RingKeyDescriptor, nearest_centre_labels, raplace_similarity
+from radvlad.descriptors import (
+    RaplaceDescriptor,
+    RingKeyDescriptor,
+    VladDescriptor,
+    nearest_centre_labels,
+    raplace_similarity,
+)
 from radvlad.evaluate import (
     PlaceMap,
     _openblas_thread_functions,
@@ -292,6 +298,11 @@ class TestPlaceMap:
         via_map = distance_matrix_from_descriptors(method, queries, place_map).values
         via_list = distance_matrix_from_descriptors(method, plain_queries, plain_refs).values
         assert np.array_equal(via_map, via_list)
+        # One query at a time takes a matrix-vector product, whose sums may
+        # round differently from the batched matrix product's.
+        one_at_a_time = np.vstack(
+            [distance_matrix_from_descriptors(method, [q], place_map).values for q in plain_queries]
+        )
 
         for i, q in enumerate(plain_queries):
             for j, r in enumerate(plain_refs):
@@ -302,6 +313,7 @@ class TestPlaceMap:
                     want = descriptor_distance(q, r)
                     scale = max(q.values @ q.values, r.values @ r.values)
                 assert abs(via_map[i, j] - want) <= 1e-9 * scale
+                assert abs(one_at_a_time[i, j] - want) <= 1e-9 * scale
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_map_descriptors_are_read_only(self, method):
@@ -320,6 +332,55 @@ class TestPlaceMap:
         two = encode_trajectory(ref_scans, method, cfg, codebook, jobs=2)
         assert one.stack.tobytes() == two.stack.tobytes()
         assert len(one) == len(two) == len(ref_scans)
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_caches_are_computed_on_first_use_and_only_for_the_map(self, method):
+        ref_scans, query_scans, cfg, codebook = _map_inputs(method, 0)
+        place_map = encode_trajectory(ref_scans, method, cfg, codebook)
+        query = encode_trajectory(query_scans[:1], method, cfg, codebook)
+        caches = {"sq_norms", "fft_conj", "norms"}
+        assert not caches & vars(place_map).keys()
+        distance_matrix_from_descriptors(method, query, place_map)
+        distance_matrix_from_descriptors(method, [query[0]], place_map)
+        assert not caches & vars(query).keys()
+        read = {"fft_conj", "norms"} if method == "raplace" else {"sq_norms"}
+        assert caches & vars(place_map).keys() == read
+        for name in read:
+            with pytest.raises(ValueError):
+                getattr(place_map, name)[0] = 1.0
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_only_plain_references_are_mapped(self, method, monkeypatch):
+        ref_scans, query_scans, cfg, codebook = _map_inputs(method, 0)
+        place_map = encode_trajectory(ref_scans, method, cfg, codebook)
+        queries = list(encode_trajectory(query_scans, method, cfg, codebook))
+        built = []
+        init = PlaceMap.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PlaceMap, "__init__", spy)
+        distance_matrix_from_descriptors(method, queries, place_map)
+        assert built == []
+        distance_matrix_from_descriptors(method, queries, list(place_map))
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_empty_or_mixed_shape_queries_raise(self, method):
+        ref_scans, query_scans, cfg, codebook = _map_inputs(method, 0)
+        place_map = encode_trajectory(ref_scans, method, cfg, codebook)
+        first = encode_trajectory(query_scans[:1], method, cfg, codebook)[0]
+        if method == "raplace":
+            narrow = RaplaceDescriptor(first.spectrum[:, :-1])
+        elif method == "ringkey":
+            narrow = RingKeyDescriptor(first.values[:-1])
+        else:
+            narrow = VladDescriptor(first.values[: first.k * (first.w - 1)], first.k, first.w - 1)
+        for bad in ([], [first, narrow], [narrow, first]):
+            with pytest.raises(ArgumentError):
+                distance_matrix_from_descriptors(method, bad, place_map)
 
     def test_descriptor_shape_mismatch_raises(self, small_world):
         cfg = synthetic_run_config(small_world.cfg, "ringkey")

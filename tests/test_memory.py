@@ -1,4 +1,4 @@
-"""Allocation bounds on the set-up path, measured with tracemalloc.
+"""Allocation bounds, measured with tracemalloc.
 
 NumPy reports its array buffers to tracemalloc, so the traced peak of a
 call is the largest set of arrays it held at once. Inputs are made
@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 
-from radvlad import VladDescriptor, fit_kmeans_pp
+from radvlad import CartesianScan, VladDescriptor, descriptors, fit_kmeans_pp, radon_sinogram
 from radvlad.evaluate import PlaceMap
 
 
@@ -41,3 +41,23 @@ def test_codebook_fit_makes_no_second_copy_of_its_input():
     codebook, peak = traced_peak_bytes(lambda: fit_kmeans_pp(rows, 4, seed=0, max_iter=3))
     assert codebook.iterations_run >= 1
     assert peak < 0.5 * rows.nbytes
+
+
+def test_codebook_fit_checks_finiteness_without_an_input_sized_mask():
+    # The squared norms it caches anyway decide finiteness, so the fit
+    # never holds an n x W boolean mask (one byte per input element).
+    rows = np.random.default_rng(1).random((2000, 512))
+    _, peak = traced_peak_bytes(lambda: fit_kmeans_pp(rows, 4, seed=0, max_iter=1))
+    assert peak < 0.75 * rows.size
+
+
+def test_uncached_sinogram_holds_one_angle_table_at_a_time(monkeypatch):
+    # Past the cache budget the tables are streamed: the peak is one
+    # table (28 B per pixel) plus the rotation's temporaries, not all 64.
+    side = 64
+    image = CartesianScan(np.random.default_rng(2).random((side, side)), 1.0)
+    monkeypatch.setattr(descriptors, "_TABLE_CACHE_LIMIT_BYTES", 0)
+    monkeypatch.setattr(descriptors, "_table_cache", {})
+    sinogram, peak = traced_peak_bytes(lambda: radon_sinogram(image, side))
+    assert sinogram.shape == (side, side)
+    assert peak < 8 * 28 * side * side
