@@ -86,12 +86,16 @@ def _config_from_args(args):
     return build_run_config(file_values, overrides)
 
 
-def _int_list(text: str) -> list:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _list_of(kind):
+    """argparse ``type=`` for a comma list of ``kind``; blank items are skipped."""
 
+    def parse(text: str) -> list:
+        try:
+            return [kind(part) for part in text.split(",") if part.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a comma list of {kind.__name__}, got {text!r}") from None
 
-def _float_list(text: str) -> list:
-    return [float(part) for part in text.split(",") if part.strip()]
+    return parse
 
 
 def cmd_ingest(args) -> int:
@@ -187,17 +191,9 @@ def cmd_sweep(args) -> int:
     query = runs.load_trajectory(args.query)
     ref = runs.load_trajectory(args.ref)
     if args.method == "ringkey":
-        rows = sweep.sweep_ringkey(
-            query, ref, cfg,
-            _int_list(args.azis), _int_list(args.bins), _int_list(args.lengths),
-            jobs=args.jobs,
-        )
+        rows = sweep.sweep_ringkey(query, ref, cfg, args.azis, args.bins, args.lengths, jobs=args.jobs)
     else:
-        rows = sweep.sweep_raplace(
-            query, ref, cfg,
-            _float_list(args.scales), _float_list(args.resolutions), _int_list(args.widths),
-            jobs=args.jobs,
-        )
+        rows = sweep.sweep_raplace(query, ref, cfg, args.scales, args.resolutions, args.widths, jobs=args.jobs)
     sweep.write_sweep_csv(args.out, rows)
     print(f"sweep: wrote {len(rows)} grid points to {args.out}")
     return 0
@@ -302,16 +298,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True, help="query run directory")
     p.add_argument("--ref", required=True, help="reference run directory")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--azis", default="50,100,200,400", help="ring key: azimuth row counts (comma list)")
-    p.add_argument("--bins", default="1884,3768", help="ring key: cropped range bin counts")
-    p.add_argument("--lengths", default="128,512", help="ring key: final vector lengths")
-    p.add_argument("--scales", default="10,20,30,40", help="sinogram: radial scale percents")
+    ints, floats = _list_of(int), _list_of(float)
+    p.add_argument("--azis", type=ints, default="50,100,200,400", help="ring key: azimuth row counts (comma list)")
+    p.add_argument("--bins", type=ints, default="1884,3768", help="ring key: cropped range bin counts")
+    p.add_argument("--lengths", type=ints, default="128,512", help="ring key: final vector lengths")
+    p.add_argument("--scales", type=floats, default="10,20,30,40", help="sinogram: radial scale percents")
     p.add_argument(
         "--resolutions",
+        type=floats,
         default="1.2717,0.63585,2.5424,0.3178",
         help="sinogram: Cartesian resolutions, zipped with --widths",
     )
-    p.add_argument("--widths", default="256,512,128,1024", help="sinogram: Cartesian widths, zipped with --resolutions")
+    p.add_argument(
+        "--widths", type=ints, default="256,512,128,1024", help="sinogram: Cartesian widths, zipped with --resolutions"
+    )
     _add_config_flags(p, include_method=False)
     _add_jobs_flag(p)
     p.set_defaults(func=cmd_sweep)

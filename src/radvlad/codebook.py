@@ -176,6 +176,8 @@ def fit_kmeans_pp(vectors, k: int, tol: float = 1e-4, seed: int = 0, max_iter: i
         raise ArgumentError(f"k={k} exceeds the {vectors.shape[0]} available vectors")
     if tol <= 0.0 or max_iter < 1:
         raise ArgumentError("tol must be positive and max_iter >= 1")
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
 
     centres = _seed_centres(vectors, vector_sq, k, np.random.default_rng(seed))
 
@@ -210,8 +212,13 @@ def assign_nearest(codebook: Codebook, x) -> int:
         raise ArgumentError(f"vector length {x.size} != codebook width {codebook.width}")
     if not np.isfinite(x).all():
         raise ArgumentError("vector must be finite")
-    d2 = pairwise_sq_dist(x[None, :], codebook.centres, b_sq=codebook.centre_sq_norms)
-    return int(np.argmin(d2))
+    return int(nearest_centre_labels(x[None, :], codebook)[0])
+
+
+def nearest_centre_labels(rows: np.ndarray, codebook: Codebook) -> np.ndarray:
+    """Nearest-centre index per row; ties go to the lowest centre index."""
+    d2 = pairwise_sq_dist(rows, codebook.centres, b_sq=codebook.centre_sq_norms)
+    return np.argmin(d2, axis=1)
 
 
 def save_codebook(path, codebook: Codebook) -> None:

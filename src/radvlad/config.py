@@ -41,8 +41,8 @@ class RunConfig:
             raise ArgumentError(f"method must be one of {METHODS}, got {self.method!r}")
         if min(self.target_bins, self.k, self.stride, self.n_max, self.kmeans_max_iter) < 1:
             raise ArgumentError("target_bins, k, stride, n_max, kmeans_max_iter must be >= 1")
-        if self.suppress_bins < 0:
-            raise ArgumentError("suppress_bins must be >= 0")
+        if self.suppress_bins < 0 or self.kmeans_seed < 0:
+            raise ArgumentError("suppress_bins and kmeans_seed must be >= 0")
         if self.kmeans_tol <= 0.0 or self.threshold_m <= 0.0:
             raise ArgumentError("kmeans_tol and threshold_m must be positive")
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import Codebook, cluster_sums, pairwise_sq_dist
+from .codebook import Codebook, cluster_sums, nearest_centre_labels
 from .errors import ArgumentError, IngestError
 from .scans import CartesianScan, PolarScan, linear_resample_columns, polar_to_cartesian
 
@@ -97,12 +97,6 @@ class RaplaceConfig:
 def encode_ring_key(scan: PolarScan) -> RingKeyDescriptor:
     """Average the scan over azimuths, one mean per range bin."""
     return RingKeyDescriptor(scan.power.mean(axis=0))
-
-
-def nearest_centre_labels(rows: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """Nearest-centre index per row; ties go to the lowest centre index."""
-    d2 = pairwise_sq_dist(rows, codebook.centres, b_sq=codebook.centre_sq_norms)
-    return np.argmin(d2, axis=1)
 
 
 def encode_vlad(rows, codebook: Codebook, l2_normalize: bool = False) -> VladDescriptor:
@@ -241,10 +235,15 @@ def raplace_similarity(a: RaplaceDescriptor, b: RaplaceDescriptor) -> float:
         raise ArgumentError(
             f"descriptor shapes differ: {a.spectrum.shape} vs {b.spectrum.shape}"
         )
-    fa = np.fft.fft(a.spectrum, axis=0)
-    fb = np.fft.fft(b.spectrum, axis=0)
-    corr = np.fft.ifft((fa * np.conj(fb)).sum(axis=1), axis=0).real
-    return float(corr.max())
+    return float(_peak_correlation(np.fft.fft(a.spectrum, axis=0), np.conj(np.fft.fft(b.spectrum, axis=0))))
+
+
+def _peak_correlation(fa: np.ndarray, fb_conj: np.ndarray) -> np.ndarray:
+    """Peak over angle shifts of the circular cross-correlation of spectra
+    given as angle-axis FFTs, ``fb_conj`` conjugated: the product summed
+    over the radial (last) axis, inverse-transformed along the angle axis.
+    Leading axes broadcast, one peak per pair."""
+    return np.fft.ifft((fa * fb_conj).sum(axis=-1), axis=-1).real.max(axis=-1)
 
 
 def save_descriptor(path, descriptor) -> None:

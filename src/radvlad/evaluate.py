@@ -36,6 +36,7 @@ from .config import (
 )
 from .descriptors import (
     VladDescriptor,
+    _peak_correlation,
     descriptor_distance,
     encode_raplace,
     encode_ring_key,
@@ -354,8 +355,7 @@ def _raplace_similarity_matrix(queries: np.ndarray, refs: PlaceMap) -> np.ndarra
     scale = np.maximum(_frobenius_norms(queries)[:, None] * refs.norms[None, :], np.finfo(float).tiny)
     sim = np.empty((len(queries), len(refs)))
     for i in range(len(queries)):
-        corr = np.fft.ifft((fq[i][None, :, :] * refs.fft_conj).sum(axis=2), axis=1).real
-        sim[i] = corr.max(axis=1)
+        sim[i] = _peak_correlation(fq[i], refs.fft_conj)
     return sim / scale
 
 
@@ -422,8 +422,6 @@ def run_pair(
     sample; values naturally vary between runs) and any codebook are
     written there.
     """
-    if method not in METHODS:
-        raise ArgumentError(f"method must be one of {METHODS}, got {method!r}")
     query_scans, ref_scans, gt = pair_setup(query, ref, cfg)
 
     codebook = None
@@ -590,9 +588,10 @@ def bench_timings(method: str, scans, repetitions: int, cfg: RunConfig | None = 
     """Time descriptor construction and one descriptor-pair comparison.
 
     Each build sample times one raw scan's encode, preprocessing
-    included, through the same per-method encoder as ``run_pair``
-    (cycling through the given scans); each distance sample times one
-    distance/similarity evaluation between two fixed descriptors. The
+    included, through the same per-method encoder and timed loop
+    (``_timed_map``) as ``run_pair``, cycling through the given scans;
+    each distance sample times one distance/similarity evaluation
+    between two fixed descriptors, through the same loop. The
     codebook is fitted on the scans outside the timed region, and BLAS
     thread pools are pinned to one thread so the samples are comparable
     across methods; the report records the BLAS thread count in effect
@@ -611,22 +610,16 @@ def bench_timings(method: str, scans, repetitions: int, cfg: RunConfig | None = 
     encode = _encoder(method, cfg, codebook)
     compare = raplace_similarity if method == METHOD_RAPLACE else descriptor_distance
 
-    build = np.empty(repetitions)
-    distance = np.empty(repetitions)
+    build, distance = [], []
     with _single_thread_context():
         threads = blas_threads()
-        for i in range(repetitions):
-            item = scans[i % len(scans)]
-            start = time.perf_counter()
-            encode(item)
-            build[i] = time.perf_counter() - start
+        for _ in _timed_map(encode, [scans[i % len(scans)] for i in range(repetitions)], 1, build):
+            pass
         left = encode(scans[0])
         right = encode(scans[min(1, len(scans) - 1)])
-        for i in range(repetitions):
-            start = time.perf_counter()
-            compare(left, right)
-            distance[i] = time.perf_counter() - start
-    return TimingReport(method, build, distance, threads)
+        for _ in _timed_map(functools.partial(compare, left), [right] * repetitions, 1, distance):
+            pass
+    return TimingReport(method, np.array(build), np.array(distance), threads)
 
 
 def write_timing_csv(path, reports) -> None:

@@ -248,12 +248,9 @@ def write_poses(path, poses: TrajectoryPoses) -> None:
 
 
 def suppress_near_range(scan: PolarScan, n_bins: int) -> PolarScan:
-    """Zero the first ``n_bins`` range columns (self-return suppression)."""
-    if n_bins < 0 or n_bins > scan.range_bin_count:
-        raise ArgumentError(f"n_bins must be in [0, {scan.range_bin_count}], got {n_bins}")
-    power = scan.power.copy()
-    power[:, :n_bins] = 0.0
-    return replace(scan, power=power)
+    """Zero the first ``n_bins`` range columns (self-return suppression):
+    ``resample_range`` at the scan's own width."""
+    return resample_range(scan, scan.range_bin_count, suppress_bins=n_bins)
 
 
 def resample_range(scan: PolarScan, target_bins: int, suppress_bins: int = 0) -> PolarScan:
@@ -264,9 +261,8 @@ def resample_range(scan: PolarScan, target_bins: int, suppress_bins: int = 0) ->
     interpolation at output bin centres. The azimuth axis is untouched and
     ``range_resolution_m`` scales by W/target_bins.
 
-    The first ``suppress_bins`` input columns are read as zero, which gives
-    the same result as ``resample_range(suppress_near_range(scan, n), t)``
-    without copying the scan; ``scan`` itself is not modified.
+    The first ``suppress_bins`` input columns are read as zero, so near-range
+    suppression costs no copy of the scan; ``scan`` itself is not modified.
     """
     if target_bins < 1:
         raise ArgumentError(f"target_bins must be >= 1, got {target_bins}")

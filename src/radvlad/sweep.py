@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import METHOD_RAPLACE, METHOD_RINGKEY, RunConfig
-from .descriptors import RaplaceConfig, encode_ring_key
+from .descriptors import encode_ring_key
 from .errors import ArgumentError
-from .evaluate import _map_jobs, distance_matrix_from_descriptors, encode_trajectory, pair_setup, recall_at_n
+from .evaluate import _map_jobs, distance_matrix_from_descriptors, pair_setup, recall_at_n, run_pair
 from .scans import PolarScan, Trajectory, resample_range
 
 SWEEP_CSV_HEADER = ["param1", "param2", "param3", "recall_at_1"]
@@ -58,24 +58,17 @@ def sweep_raplace(
     """Rows of (scale_pct, resolution_m, width_px, recall_at_1).
 
     ``resolutions`` and ``widths`` are zipped pairs (equal lengths); the
-    grid is scales x pairs.
+    grid is scales x pairs. Each point is a ``run_pair`` with those three
+    ``cfg.raplace`` settings replaced, so its other settings carry through.
     """
     if len(resolutions) != len(widths):
         raise ArgumentError("resolutions and widths must pair up one-to-one")
-    query_scans, ref_scans, gt = pair_setup(query, ref, cfg)
     rows = []
     for scale in scales:
         for resolution, width in zip(resolutions, widths):
-            variant = dc_replace(
-                cfg,
-                method=METHOD_RAPLACE,
-                raplace=RaplaceConfig(width_px=width, resolution_m=resolution, scale_pct=scale),
-            )
-            q = encode_trajectory(query_scans, METHOD_RAPLACE, variant, jobs=jobs)
-            r = encode_trajectory(ref_scans, METHOD_RAPLACE, variant, jobs=jobs)
-            dist = distance_matrix_from_descriptors(METHOD_RAPLACE, q, r)
-            curve = recall_at_n(dist, gt, 1)
-            rows.append((scale, resolution, width, float(curve.recall_pct[0])))
+            raplace = dc_replace(cfg.raplace, width_px=width, resolution_m=resolution, scale_pct=scale)
+            run = run_pair(query, ref, METHOD_RAPLACE, dc_replace(cfg, raplace=raplace), jobs=jobs)
+            rows.append((scale, resolution, width, float(run.recall.recall_pct[0])))
     return rows
 
 

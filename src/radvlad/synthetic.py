@@ -65,6 +65,8 @@ def generate_scene(n_reflectors: int, extent_m: float, seed: int) -> ReflectorSc
         raise ArgumentError("n_reflectors must be >= 0")
     if extent_m <= 0.0:
         raise ArgumentError("extent_m must be positive")
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     positions = rng.uniform(-extent_m, extent_m, size=(n_reflectors, 2))
     intensities = 1.0 - rng.uniform(0.0, 1.0, size=n_reflectors)
@@ -183,6 +185,8 @@ class PlaceWorld:
     """
 
     def __init__(self, seed: int, cfg: WorldConfig = WorldConfig()):
+        if seed < 0:
+            raise ArgumentError(f"seed must be >= 0, got {seed}")
         self.seed = seed
         self.cfg = cfg
         self.scenes = [

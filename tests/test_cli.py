@@ -266,6 +266,24 @@ class TestSweepCommand:
         assert rc == 0
         assert out.read_text().splitlines() == ["param1,param2,param3,recall_at_1"]
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--azis", "16,x"), ("--bins", "64;128"), ("--lengths", "3.5"),
+         ("--scales", "10,x"), ("--resolutions", "1.8.75"), ("--widths", "64,3x")],
+    )
+    def test_malformed_list_is_a_usage_error(self, synth_pair, tmp_path, capsys, flag, value):
+        query, ref = synth_pair
+        method = "ringkey" if flag in ("--azis", "--bins", "--lengths") else "raplace"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", "--method", method, "--query", str(query), "--ref", str(ref),
+                "--out", str(tmp_path / "grid.csv"), f"{flag}={value}",
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "Traceback" not in err
+        assert not (tmp_path / "grid.csv").exists()
+
     def test_sweep_idempotent_across_job_counts(self, synth_pair, tmp_path):
         query, ref = synth_pair
         args = [
@@ -332,6 +350,22 @@ class TestSynthCommand:
         assert methods == {"radvlad", "fft_radvlad"}
         assert (out / "distances_radvlad.dmat").exists()
         assert (out / "distances_fft_radvlad.dmat").exists()
+
+
+@pytest.mark.parametrize("command", ["localize", "cluster", "bench", "synth"])
+def test_negative_seed_exits_1_without_traceback(synth_pair, tmp_path, capsys, command):
+    query, ref = synth_pair
+    out = str(tmp_path / "out")
+    argv = {
+        "localize": ["localize", "--query", str(query), "--ref", str(ref), "--out", out, "--kmeans-seed", "-1"],
+        "cluster": ["cluster", "--run", str(ref), "--out", out, "--kmeans-seed", "-1"],
+        "bench": ["bench", "--run", str(ref), "--out", out, "--repetitions", "1", "--kmeans-seed", "-1"],
+        "synth": ["synth", "--scenario", "rotation", "--out", out, "--seed", "-1", "--places", "2", "--trials", "2"],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"radvlad {command}: ") and "seed" in err
+    assert "Traceback" not in err
 
 
 def test_parser_lists_all_subcommands():

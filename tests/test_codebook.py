@@ -139,6 +139,10 @@ class TestFit:
         with pytest.raises(ArgumentError):
             fit_kmeans_pp(duplicated, 3, seed=0)  # k > distinct count
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ArgumentError, match="seed"):
+            fit_kmeans_pp(np.random.default_rng(6).random((5, 2)), 2, seed=-1)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
     def test_rows_that_are_not_finite_or_overflow_their_norm_are_rejected(self, bad):
         data = np.random.default_rng(7).random((20, 3))

@@ -26,6 +26,10 @@ class TestDefaults:
         with pytest.raises(ArgumentError):
             RunConfig(method="nope")
 
+    def test_negative_kmeans_seed_rejected(self):
+        with pytest.raises(ArgumentError, match="kmeans_seed"):
+            RunConfig(kmeans_seed=-1)
+
 
 class TestConfigFile:
     def test_parse_key_value_lines(self, tmp_path):

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from radvlad import ArgumentError, RunConfig, WorldConfig
+from radvlad import ArgumentError, RunConfig, WorldConfig, descriptors
 from radvlad.config import METHOD_RINGKEY
 from radvlad.descriptors import RaplaceConfig
 from radvlad.sweep import sweep_raplace, sweep_ringkey, write_sweep_csv
@@ -68,6 +70,28 @@ class TestRaplaceSweep:
         query, ref, cfg = pair
         with pytest.raises(ArgumentError):
             sweep_raplace(query, ref, cfg, [10.0], [1.0, 2.0], [64])
+
+    def test_empty_grid(self, pair):
+        query, ref, cfg = pair
+        assert sweep_raplace(query, ref, cfg, [], [1.875], [64]) == []
+        assert sweep_raplace(query, ref, cfg, [10.0], [], []) == []
+
+    def test_other_raplace_settings_carry_through(self, pair, monkeypatch):
+        query, ref, cfg = pair
+        cfg = replace(cfg, raplace=replace(cfg.raplace, n_angles=8))
+        seen = []
+        original = descriptors.radon_sinogram
+
+        def spy(scan, n_angles):
+            seen.append((scan.width_px, n_angles))
+            return original(scan, n_angles)
+
+        monkeypatch.setattr(descriptors, "radon_sinogram", spy)
+        rows = sweep_raplace(query, ref, cfg, [10.0], [1.875, 3.75], [64, 32])
+        assert len(rows) == 2
+        assert len(seen) == 2 * (len(query.scans) + len(ref.scans))
+        assert {width for width, _ in seen} == {64, 32}
+        assert {n_angles for _, n_angles in seen} == {8}
 
 
 def test_write_sweep_csv(tmp_path):

@@ -37,6 +37,10 @@ class TestGenerateScene:
         with pytest.raises(ArgumentError):
             generate_scene(-1, 10.0, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ArgumentError, match="seed"):
+            generate_scene(5, 10.0, seed=-1)
+
 
 class TestRenderPolar:
     def test_empty_scene_noiseless_is_zero(self):
@@ -114,6 +118,11 @@ class TestSceneCsv:
 
 
 class TestPlaceWorld:
+    @pytest.mark.parametrize("n_places", [0, 2])
+    def test_negative_seed_rejected(self, n_places):
+        with pytest.raises(ArgumentError, match="seed"):
+            PlaceWorld(seed=-1, cfg=WorldConfig(n_places=n_places))
+
     def test_reference_trajectory_layout(self):
         world = PlaceWorld(seed=0, cfg=WorldConfig(n_places=5))
         ref = world.reference_trajectory()
