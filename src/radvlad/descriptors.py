@@ -144,10 +144,13 @@ def descriptor_distance(a, b) -> float:
     return float(diff @ diff)
 
 
-# Sampling tables for the rotate-and-sum Radon transform are cached per
+# Sampling operators of the rotate-and-sum Radon transform are cached per
 # (side, n_angles) while they stay within this budget; the lock makes
 # concurrent encoders build a cached geometry once.
 _TABLE_CACHE_LIMIT_BYTES = 128 * 1024 * 1024
+# Most bytes one angle's operator takes per pixel: four float64 weights
+# and four int32 column indices per row, and one int32 row pointer.
+_OPERATOR_BYTES_PER_PIXEL = 4 * (8 + 4) + 4
 _table_cache: dict = {}
 _table_lock = threading.Lock()
 
@@ -160,26 +163,49 @@ def _angle_table(side: int, phi: float, xs: np.ndarray, ys: np.ndarray):
     inside = (sx >= 0.0) & (sx <= side - 1) & (sy >= 0.0) & (sy <= side - 1)
     x0 = np.clip(np.floor(sx), 0, side - 2).astype(np.int32)
     y0 = np.clip(np.floor(sy), 0, side - 2).astype(np.int32)
-    return y0 * side + x0, sx - x0, sy - y0, inside.astype(np.float64)
+    return y0 * side + x0, sx - x0, sy - y0, inside
 
 
-def _angle_tables(side: int, n_angles: int):
-    """Yield every angle's sampling table in angle order, one at a time."""
+def _angle_operator(side: int, phi: float, xs: np.ndarray, ys: np.ndarray):
+    """One angle's bilinear rotation as a sparse CSR matrix: row p holds
+    the four taps of output pixel p's sample, and a row whose sample falls
+    outside the grid is empty."""
+    from scipy import sparse  # only the sinogram needs scipy; keep `import radvlad` light
+
+    base, fx, fy, inside = _angle_table(side, phi, xs, ys)
+    base, fx, fy = base[inside], fx[inside], fy[inside]
+    gx, gy = 1.0 - fx, 1.0 - fy
+    weights = np.stack([gx * gy, fx * gy, gx * fy, fx * fy], axis=1)
+    taps = base[:, None] + np.array([0, 1, side, side + 1], dtype=np.int32)
+    indptr = np.zeros(side * side + 1, dtype=np.int32)
+    np.cumsum(inside, dtype=np.int32, out=indptr[1:])
+    indptr *= 4
+    return sparse.csr_array((weights.ravel(), taps.ravel(), indptr), shape=(side * side, side * side))
+
+
+def _built_angles(n_angles: int) -> int:
+    """Angles that get an operator: those in [0, pi/2) when n_angles is
+    even (the rest are quarter turns of them), else all of them."""
+    return n_angles // 2 if n_angles % 2 == 0 else n_angles
+
+
+def _angle_operators(side: int, n_angles: int):
+    """Yield every built angle's operator in angle order, one at a time."""
     ys, xs = (np.mgrid[0:side, 0:side] - (side - 1) / 2.0).reshape(2, -1)
-    for a in range(n_angles):
-        yield _angle_table(side, np.pi * a / n_angles, xs, ys)
+    for a in range(_built_angles(n_angles)):
+        yield _angle_operator(side, np.pi * a / n_angles, xs, ys)
 
 
-def _rotation_tables(side: int, n_angles: int):
-    """The sampling tables of every angle: the cached list when they fit
-    the cache budget, else a generator that holds one table at a time."""
-    if n_angles * side * side * 28 > _TABLE_CACHE_LIMIT_BYTES:
-        return _angle_tables(side, n_angles)
+def _rotation_operators(side: int, n_angles: int):
+    """The operators of every built angle: the cached list when they fit
+    the cache budget, else a generator that holds one operator at a time."""
+    if _built_angles(n_angles) * side * side * _OPERATOR_BYTES_PER_PIXEL > _TABLE_CACHE_LIMIT_BYTES:
+        return _angle_operators(side, n_angles)
     key = (side, n_angles)
     with _table_lock:
         if key not in _table_cache:
             _table_cache.clear()
-            _table_cache[key] = list(_angle_tables(side, n_angles))
+            _table_cache[key] = list(_angle_operators(side, n_angles))
         return _table_cache[key]
 
 
@@ -188,23 +214,26 @@ def radon_sinogram(scan: CartesianScan, n_angles: int) -> np.ndarray:
 
     Row a holds the projection at angle pi*a/n_angles: the image is
     rotated about its centre with bilinear interpolation (zero outside)
-    and its columns are summed.
+    and its columns are summed. Each angle's rotation is a sparse CSR
+    matrix, built once per geometry and cached (or, past the cache budget,
+    built and applied one angle at a time). For even n_angles only the
+    angles in [0, pi/2) get one: the rotation by phi + pi/2 is the
+    rotation by phi applied to the image turned a quarter clockwise
+    (``np.rot90(pixels, -1)``). That identity is exact, because the
+    quarter turn maps the grid centre (side - 1)/2 onto itself, so the
+    pi/2 row is read through the grid-aligned phi = 0 operator.
     """
     if n_angles < 1:
         raise ArgumentError(f"n_angles must be >= 1, got {n_angles}")
     side = scan.width_px
-    flat = scan.pixels.ravel()
+    images = [scan.pixels.ravel()]
+    if n_angles % 2 == 0:
+        images.append(np.rot90(scan.pixels, -1).ravel())
+    built = _built_angles(n_angles)
     out = np.empty((n_angles, side))
-    for a, (base, fx, fy, valid) in enumerate(_rotation_tables(side, n_angles)):
-        gx = 1.0 - fx
-        gy = 1.0 - fy
-        rotated = (
-            flat[base] * (gx * gy)
-            + flat[base + 1] * (fx * gy)
-            + flat[base + side] * (gx * fy)
-            + flat[base + side + 1] * (fx * fy)
-        ) * valid
-        out[a] = rotated.reshape(side, side).sum(axis=0)
+    for a, op in enumerate(_rotation_operators(side, n_angles)):
+        for turn, flat in enumerate(images):
+            out[a + turn * built] = (op @ flat).reshape(side, side).sum(axis=0)
     return out
 
 

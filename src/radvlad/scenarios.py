@@ -73,8 +73,8 @@ def run_translation_scenario(
     method are written there (the codebooks stay on the returned runs).
     """
     world = PlaceWorld(seed, world_cfg)
-    ref = world.reference_trajectory()
     query = world.translated_query_trajectory(translate_min_m, translate_max_m, seed=seed + 1)
+    ref = world.reference_trajectory()
 
     runs = []
     for method in (METHOD_RADVLAD, METHOD_FFT_RADVLAD):

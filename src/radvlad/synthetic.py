@@ -173,6 +173,10 @@ class WorldConfig:
     beam_sigma_bins: float = 1.5
     noise_sigma: float = 0.0
 
+    def __post_init__(self):
+        if self.n_places < 1:
+            raise ArgumentError(f"n_places must be >= 1, got {self.n_places}")
+
 
 class PlaceWorld:
     """A set of places, each with its own local reflector scene.
@@ -238,6 +242,8 @@ class PlaceWorld:
 
     def translated_query_trajectory(self, min_m: float, max_m: float, seed: int) -> Trajectory:
         """One query per place, offset by a random 2-D shift of |t| in [min_m, max_m]."""
+        if not 0.0 <= min_m <= max_m:
+            raise ArgumentError(f"translation bounds must satisfy 0 <= min <= max, got {min_m} and {max_m}")
         rng = np.random.default_rng(seed)
         places, poses = [], []
         for place in range(self.cfg.n_places):

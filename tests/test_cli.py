@@ -368,6 +368,22 @@ def test_negative_seed_exits_1_without_traceback(synth_pair, tmp_path, capsys, c
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flags, word",
+    [
+        (["--scenario", "rotation", "--places", "0"], "n_places"),
+        (["--scenario", "self", "--places", "-1"], "n_places"),
+        (["--scenario", "translation", "--places", "2", "--translate-min", "5", "--translate-max", "1"], "translation bounds"),
+        (["--scenario", "translation", "--places", "2", "--translate-min", "-1"], "translation bounds"),
+    ],
+)
+def test_bad_synth_world_exits_1_without_traceback(tmp_path, capsys, flags, word):
+    assert main(["synth", "--out", str(tmp_path / "out"), "--bins", "64", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("radvlad synth: ") and word in err
+    assert "Traceback" not in err
+
+
 def test_parser_lists_all_subcommands():
     parser = build_parser()
     actions = [a for a in parser._actions if hasattr(a, "choices") and a.choices]

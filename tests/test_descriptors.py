@@ -1,4 +1,6 @@
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,16 +210,36 @@ class TestRadonSinogram:
         with pytest.raises(ArgumentError):
             radon_sinogram(CartesianScan(np.zeros((8, 8)), 1.0), 0)
 
+    @pytest.mark.parametrize("side", [16, 64, 128])
+    def test_quarter_turn_row_of_a_flat_image_is_exact(self, side):
+        # At pi/2 every sample lands on a grid point: the row must be the
+        # image's row sums, last row first, with no sample lost at the
+        # border (cos(pi/2) rounds to 6e-17, not 0).
+        image = np.ones((side, side))
+        sino = radon_sinogram(CartesianScan(image, 1.0), 4)
+        assert sino[2].tobytes() == image.sum(axis=1)[::-1].tobytes()
+
     def test_streamed_tables_give_the_cached_sinogram(self, monkeypatch):
         image = CartesianScan(np.random.default_rng(4).random((48, 48)), 1.0)
-        monkeypatch.setattr(descriptors, "_table_cache", {})
-        cached = radon_sinogram(image, 40)
-        assert (48, 40) in descriptors._table_cache
-        monkeypatch.setattr(descriptors, "_TABLE_CACHE_LIMIT_BYTES", 0)
-        monkeypatch.setattr(descriptors, "_table_cache", {})
-        streamed = radon_sinogram(image, 40)
-        assert not descriptors._table_cache
-        assert streamed.tobytes() == cached.tobytes()
+        limit = descriptors._TABLE_CACHE_LIMIT_BYTES
+        for n_angles in (40, 39):
+            monkeypatch.setattr(descriptors, "_TABLE_CACHE_LIMIT_BYTES", limit)
+            monkeypatch.setattr(descriptors, "_table_cache", {})
+            cached = radon_sinogram(image, n_angles)
+            assert (48, n_angles) in descriptors._table_cache
+            monkeypatch.setattr(descriptors, "_TABLE_CACHE_LIMIT_BYTES", 0)
+            monkeypatch.setattr(descriptors, "_table_cache", {})
+            streamed = radon_sinogram(image, n_angles)
+            assert not descriptors._table_cache
+            assert streamed.tobytes() == cached.tobytes()
+
+    def test_importing_the_package_leaves_scipy_unloaded(self):
+        # Only the sinogram needs scipy, and it imports it on first use,
+        # so workloads that never build a sinogram never pay for it.
+        src = str(Path(descriptors.__file__).resolve().parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r}); import radvlad; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_parallel_encoders_build_a_cached_geometry_once(self, monkeypatch, jobs):
@@ -238,7 +260,9 @@ class TestRadonSinogram:
             encode_trajectory(world.reference_trajectory().scans, "raplace", cfg, jobs=jobs)
         finally:
             sys.setswitchinterval(interval)
-        assert len(calls) == cfg.raplace.angles
+        # One table per built angle: those in [0, pi/2) for an even count.
+        n_angles = cfg.raplace.angles
+        assert len(calls) == (n_angles // 2 if n_angles % 2 == 0 else n_angles)
 
 
 class TestEncodeRaplace:

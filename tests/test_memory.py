@@ -8,6 +8,7 @@ before tracing starts and are not counted.
 import tracemalloc
 
 import numpy as np
+import scipy.sparse  # noqa: F401  the sinogram imports it on first use; not an allocation of the call
 
 from radvlad import CartesianScan, VladDescriptor, descriptors, fit_kmeans_pp, radon_sinogram
 from radvlad.evaluate import PlaceMap
@@ -52,8 +53,9 @@ def test_codebook_fit_checks_finiteness_without_an_input_sized_mask():
 
 
 def test_uncached_sinogram_holds_one_angle_table_at_a_time(monkeypatch):
-    # Past the cache budget the tables are streamed: the peak is one
-    # table (28 B per pixel) plus the rotation's temporaries, not all 64.
+    # Past the cache budget the operators are streamed: the peak is one
+    # angle's operator (at most 52 B per pixel) and the next one's build
+    # temporaries, the quarter-turned image and the pixel grid, not all 32.
     side = 64
     image = CartesianScan(np.random.default_rng(2).random((side, side)), 1.0)
     monkeypatch.setattr(descriptors, "_TABLE_CACHE_LIMIT_BYTES", 0)
@@ -61,3 +63,14 @@ def test_uncached_sinogram_holds_one_angle_table_at_a_time(monkeypatch):
     sinogram, peak = traced_peak_bytes(lambda: radon_sinogram(image, side))
     assert sinogram.shape == (side, side)
     assert peak < 8 * 28 * side * side
+
+
+def test_cached_operators_hold_less_than_the_sampling_tables_they_replace(monkeypatch):
+    # Per-angle sampling tables held 28 B per pixel (an int32 base index
+    # and three float64 arrays) for every angle; the operators are built
+    # for half the angles and leave rows that sample outside the grid empty.
+    side = n_angles = 128
+    monkeypatch.setattr(descriptors, "_table_cache", {})
+    operators = descriptors._rotation_operators(side, n_angles)
+    held = sum(op.data.nbytes + op.indices.nbytes + op.indptr.nbytes for op in operators)
+    assert held < 28 * n_angles * side * side

@@ -118,10 +118,21 @@ class TestSceneCsv:
 
 
 class TestPlaceWorld:
-    @pytest.mark.parametrize("n_places", [0, 2])
+    @pytest.mark.parametrize("n_places", [1, 2])
     def test_negative_seed_rejected(self, n_places):
         with pytest.raises(ArgumentError, match="seed"):
             PlaceWorld(seed=-1, cfg=WorldConfig(n_places=n_places))
+
+    @pytest.mark.parametrize("n_places", [0, -1])
+    def test_world_without_places_rejected(self, n_places):
+        with pytest.raises(ArgumentError, match="n_places"):
+            WorldConfig(n_places=n_places)
+
+    @pytest.mark.parametrize("bounds", [(5.0, 1.0), (-1.0, 2.0), (float("nan"), 2.0)])
+    def test_translation_bounds_out_of_order_rejected(self, bounds):
+        world = PlaceWorld(seed=1, cfg=WorldConfig(n_places=2))
+        with pytest.raises(ArgumentError, match="translation bounds"):
+            world.translated_query_trajectory(*bounds, seed=2)
 
     def test_reference_trajectory_layout(self):
         world = PlaceWorld(seed=0, cfg=WorldConfig(n_places=5))
