@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import runs, sweep
-from .codebook import save_codebook
+from .codebook import load_codebook, save_codebook
 from .config import METHODS, VLAD_METHODS, build_run_config, config_keys, parse_config_file
 from .descriptors import save_descriptor
 from .errors import ArgumentError, IngestError, NumericError
@@ -115,14 +115,16 @@ def cmd_ingest(args) -> int:
     scan_dir.mkdir(parents=True, exist_ok=True)
 
     failures = []
+    written = 0
     sources = sorted(p for p in src.iterdir() if p.is_file() and p.suffix != ".csv")
     for i, path in enumerate(sources):
         try:
             scan = load_polar_scan(path, layout)
         except IngestError as exc:
-            failures.append(f"{path}: {exc}")
+            failures.append(str(exc))
             continue
         write_prsn(scan_dir / runs.scan_filename(i), scan)
+        written += 1
 
     if args.poses:
         try:
@@ -132,7 +134,7 @@ def cmd_ingest(args) -> int:
 
     for failure in failures:
         print(f"ingest: {failure}", file=sys.stderr)
-    print(f"ingest: wrote {len(sources) - len(failures)} scans to {scan_dir}")
+    print(f"ingest: wrote {written} scans to {scan_dir}")
     return 1 if failures else 0
 
 
@@ -161,8 +163,6 @@ def cmd_encode(args) -> int:
         if not args.codebook:
             print(f"encode: --codebook is required for {cfg.method}", file=sys.stderr)
             return 1
-        from .codebook import load_codebook
-
         codebook = load_codebook(args.codebook)
     descriptors = encode_trajectory(scans, cfg.method, cfg, codebook, jobs=args.jobs)
     out = Path(args.out)

@@ -7,16 +7,15 @@ into place descriptors.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, IngestError
+from ._files import FrameReader, ingesting, write_frame
+from .errors import ArgumentError
 
 CDBK_MAGIC = b"CDBK"
-_CDBK_HEADER = struct.Struct("<4sIIQ")
+_CDBK_HEADER = "<IIQ"
 # Elements squared at once by sq_norms: 512 KiB of float64.
 _NORM_BLOCK_ELEMENTS = 1 << 16
 
@@ -225,20 +224,13 @@ def save_codebook(path, codebook: Codebook) -> None:
     """Write centres to the native binary format (fit diagnostics are not persisted)."""
     if codebook.seed < 0:
         raise ArgumentError("codebook file stores the seed unsigned; negative seeds unsupported")
-    header = _CDBK_HEADER.pack(CDBK_MAGIC, codebook.k, codebook.width, codebook.seed)
-    Path(path).write_bytes(header + codebook.centres.astype("<f8").tobytes())
+    fields = (codebook.k, codebook.width, codebook.seed)
+    write_frame(path, CDBK_MAGIC, _CDBK_HEADER, fields, codebook.centres, "<f8")
 
 
 def load_codebook(path) -> Codebook:
-    path = Path(path)
-    buf = path.read_bytes()
-    if len(buf) < _CDBK_HEADER.size:
-        raise IngestError(f"{path}: file shorter than header")
-    magic, k, width, seed = _CDBK_HEADER.unpack_from(buf)
-    if magic != CDBK_MAGIC:
-        raise IngestError(f"{path}: bad magic {magic!r}")
-    need = _CDBK_HEADER.size + k * width * 8
-    if len(buf) != need:
-        raise IngestError(f"{path}: expected {need} bytes, found {len(buf)}")
-    centres = np.frombuffer(buf, dtype="<f8", offset=_CDBK_HEADER.size).reshape(k, width)
-    return Codebook(centres=centres, inertia=0.0, iterations_run=0, seed=seed)
+    frame = FrameReader(path, CDBK_MAGIC)
+    k, width, seed = frame.header(_CDBK_HEADER)
+    centres = frame.payload("<f8", (k, width))
+    with ingesting(frame.path):
+        return Codebook(centres=centres, inertia=0.0, iterations_run=0, seed=seed)

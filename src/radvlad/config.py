@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from ._files import ingesting
 from .descriptors import RaplaceConfig
 from .errors import ArgumentError
 
@@ -49,8 +50,10 @@ class RunConfig:
 
 def parse_config_file(path) -> dict:
     """Parse ``key = value`` lines into a flat string-to-string dict."""
+    with ingesting(path):
+        text = Path(path).read_text(encoding="utf-8")
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

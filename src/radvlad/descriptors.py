@@ -14,13 +14,12 @@ Four place encodings are provided:
 
 from __future__ import annotations
 
-import struct
 import threading
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from ._files import FrameReader, ingesting, write_frame
 from .codebook import Codebook, cluster_sums, nearest_centre_labels
 from .errors import ArgumentError, IngestError
 from .scans import CartesianScan, PolarScan, linear_resample_columns, polar_to_cartesian
@@ -29,6 +28,7 @@ DESC_MAGIC = b"DESC"
 KIND_RINGKEY = 0
 KIND_VLAD = 1
 KIND_RAPLACE = 2
+_DESC_DIMS = {KIND_RINGKEY: "I", KIND_VLAD: "II", KIND_RAPLACE: "II"}
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,8 @@ class RingKeyDescriptor:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64).ravel()
-        if not np.isfinite(values).all() or (values.size and values.min() < 0.0):
-            raise ArgumentError("ring key values must be finite and non-negative")
+        if values.size == 0 or not np.isfinite(values).all() or values.min() < 0.0:
+            raise ArgumentError("ring key values must be non-empty, finite and non-negative")
         object.__setattr__(self, "values", values)
 
 
@@ -50,6 +50,8 @@ class VladDescriptor:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64).ravel()
+        if self.k < 1 or self.w < 1:
+            raise ArgumentError(f"vlad needs k >= 1 and w >= 1, got k={self.k}, w={self.w}")
         if values.size != self.k * self.w:
             raise ArgumentError(f"vlad length {values.size} != k*w = {self.k * self.w}")
         if not np.isfinite(values).all():
@@ -63,8 +65,8 @@ class RaplaceDescriptor:
 
     def __post_init__(self):
         spectrum = np.asarray(self.spectrum, dtype=np.float64)
-        if spectrum.ndim != 2:
-            raise ArgumentError(f"spectrum must be 2-D, got shape {spectrum.shape}")
+        if spectrum.ndim != 2 or spectrum.size == 0:
+            raise ArgumentError(f"spectrum must be a non-empty 2-D matrix, got shape {spectrum.shape}")
         if not np.isfinite(spectrum).all() or spectrum.min() < 0.0:
             raise ArgumentError("spectrum must be finite and non-negative")
         object.__setattr__(self, "spectrum", spectrum)
@@ -289,30 +291,19 @@ def save_descriptor(path, descriptor) -> None:
         kind, dims, payload = KIND_RAPLACE, descriptor.spectrum.shape, descriptor.spectrum
     else:
         raise ArgumentError(f"unsupported descriptor type {type(descriptor).__name__}")
-    head = DESC_MAGIC + struct.pack("<B", kind) + struct.pack(f"<{len(dims)}I", *dims)
-    Path(path).write_bytes(head + np.ascontiguousarray(payload, dtype="<f8").tobytes())
+    write_frame(path, DESC_MAGIC, f"<B{_DESC_DIMS[kind]}", (kind, *dims), payload, "<f8")
 
 
 def load_descriptor(path):
-    path = Path(path)
-    buf = path.read_bytes()
-    if len(buf) < 5 or buf[:4] != DESC_MAGIC:
-        raise IngestError(f"{path}: not a descriptor file")
-    kind = buf[4]
-    if kind == KIND_RINGKEY:
-        (length,) = struct.unpack_from("<I", buf, 5)
-        dims, offset = (length,), 9
-    elif kind in (KIND_VLAD, KIND_RAPLACE):
-        d0, d1 = struct.unpack_from("<II", buf, 5)
-        dims, offset = (d0, d1), 13
-    else:
-        raise IngestError(f"{path}: unknown descriptor kind {kind}")
-    count = int(np.prod(dims))
-    if len(buf) != offset + count * 8:
-        raise IngestError(f"{path}: truncated payload")
-    payload = np.frombuffer(buf, dtype="<f8", offset=offset)
-    if kind == KIND_RINGKEY:
-        return RingKeyDescriptor(payload.copy())
-    if kind == KIND_VLAD:
-        return VladDescriptor(payload.copy(), k=dims[0], w=dims[1])
-    return RaplaceDescriptor(payload.reshape(dims).copy())
+    frame = FrameReader(path, DESC_MAGIC)
+    (kind,) = frame.header("<B")
+    if kind not in _DESC_DIMS:
+        raise IngestError(f"{frame.path}: unknown descriptor kind {kind}")
+    dims = frame.header("<" + _DESC_DIMS[kind])
+    payload = frame.payload("<f8", dims).copy()
+    with ingesting(frame.path):
+        if kind == KIND_RINGKEY:
+            return RingKeyDescriptor(payload)
+        if kind == KIND_VLAD:
+            return VladDescriptor(payload, k=dims[0], w=dims[1])
+        return RaplaceDescriptor(payload)

@@ -10,10 +10,8 @@ so that lower always means more similar.
 from __future__ import annotations
 
 import contextlib
-import csv
 import ctypes
 import functools
-import struct
 import time
 import warnings
 from collections.abc import Sequence
@@ -24,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import FrameReader, ingesting, write_csv_rows, write_frame
 from .codebook import Codebook, fit_kmeans_pp, pairwise_sq_dist, save_codebook, sq_norms
 from .config import (
     METHOD_FFT_RADVLAD,
@@ -54,7 +53,7 @@ from .scans import (
 from .spectral import fold_half_spectrum, is_mirror_symmetric, radial_fft_magnitude, unfold_half_spectrum
 
 DMAT_MAGIC = b"DMAT"
-_DMAT_HEADER = struct.Struct("<4sII")
+_DMAT_HEADER = "<II"
 
 RESULTS_CSV_HEADER = ["query_traj", "ref_traj", "method", "N", "recall_pct", "evaluated", "skipped"]
 TIMING_CSV_HEADER = ["method", "phase", "sample_idx", "seconds"]
@@ -458,45 +457,24 @@ def run_pair(
 
 def write_results_csv(path, runs) -> None:
     """One row per (run, N): query_traj,ref_traj,method,N,recall_pct,evaluated,skipped."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_CSV_HEADER)
-        for run in runs:
-            for n, pct in zip(run.recall.n_values, run.recall.recall_pct):
-                writer.writerow(
-                    [
-                        run.query_name,
-                        run.ref_name,
-                        run.method,
-                        int(n),
-                        f"{pct:.6f}",
-                        run.recall.evaluated_queries,
-                        run.recall.skipped_queries,
-                    ]
-                )
+    rows = (
+        [run.query_name, run.ref_name, run.method, int(n), f"{pct:.6f}"]
+        + [run.recall.evaluated_queries, run.recall.skipped_queries]
+        for run in runs
+        for n, pct in zip(run.recall.n_values, run.recall.recall_pct)
+    )
+    write_csv_rows(path, RESULTS_CSV_HEADER, rows)
 
 
 def write_distance_matrix(path, dist: DistanceMatrix) -> None:
-    q, m = dist.values.shape
-    header = _DMAT_HEADER.pack(DMAT_MAGIC, q, m)
-    Path(path).write_bytes(header + dist.values.astype("<f4").tobytes())
+    write_frame(path, DMAT_MAGIC, _DMAT_HEADER, dist.values.shape, dist.values, "<f4")
 
 
 def read_distance_matrix(path) -> DistanceMatrix:
-    from .errors import IngestError
-
-    path = Path(path)
-    buf = path.read_bytes()
-    if len(buf) < _DMAT_HEADER.size:
-        raise IngestError(f"{path}: file shorter than header")
-    magic, q, m = _DMAT_HEADER.unpack_from(buf)
-    if magic != DMAT_MAGIC:
-        raise IngestError(f"{path}: bad magic {magic!r}")
-    need = _DMAT_HEADER.size + q * m * 4
-    if len(buf) != need:
-        raise IngestError(f"{path}: expected {need} bytes, found {len(buf)}")
-    values = np.frombuffer(buf, dtype="<f4", offset=_DMAT_HEADER.size)
-    return DistanceMatrix(values.astype(np.float64).reshape(q, m))
+    frame = FrameReader(path, DMAT_MAGIC)
+    values = frame.payload("<f4", frame.header(_DMAT_HEADER)).astype(np.float64)
+    with ingesting(frame.path):
+        return DistanceMatrix(values)
 
 
 @dataclass
@@ -624,10 +602,10 @@ def bench_timings(method: str, scans, repetitions: int, cfg: RunConfig | None = 
 
 def write_timing_csv(path, reports) -> None:
     """Flatten reports to rows: method,phase,sample_idx,seconds."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TIMING_CSV_HEADER)
-        for report in reports:
-            for phase in ("build", "distance"):
-                for i, seconds in enumerate(report._samples(phase)):
-                    writer.writerow([report.method, phase, i, f"{seconds:.9e}"])
+    rows = (
+        [report.method, phase, i, f"{seconds:.9e}"]
+        for report in reports
+        for phase in ("build", "distance")
+        for i, seconds in enumerate(report._samples(phase))
+    )
+    write_csv_rows(path, TIMING_CSV_HEADER, rows)

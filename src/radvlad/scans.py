@@ -7,17 +7,16 @@ being range bins of physical width ``range_resolution_m``.
 
 from __future__ import annotations
 
-import csv
-import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from ._files import FrameReader, ingesting, read_csv_rows, write_csv_rows, write_frame
 from .errors import ArgumentError, IngestError
 
 PRSN_MAGIC = b"PRSN"
-_PRSN_HEADER = struct.Struct("<4sIIdQ")
+_PRSN_HEADER = "<IIdQ"
 
 SAMPLE_ENCODINGS = ("u8", "f32-LE")
 
@@ -68,8 +67,8 @@ class CartesianScan:
 
     def __post_init__(self):
         pixels = np.asarray(self.pixels, dtype=np.float64)
-        if pixels.ndim != 2 or pixels.shape[0] != pixels.shape[1]:
-            raise ArgumentError(f"pixels must be square, got shape {pixels.shape}")
+        if pixels.ndim != 2 or pixels.shape[0] != pixels.shape[1] or pixels.shape[0] < 1:
+            raise ArgumentError(f"pixels must be a non-empty square matrix, got shape {pixels.shape}")
         if not np.isfinite(pixels).all() or pixels.min() < 0.0:
             raise ArgumentError("pixels must be finite and non-negative")
         if float(self.resolution_m) <= 0.0:
@@ -157,56 +156,33 @@ def load_polar_scan(path, layout: RasterLayoutConfig) -> PolarScan:
     used as the scan id and, when it is all digits, as the timestamp.
     """
     path = Path(path)
-    sample_bytes = 1 if layout.sample_encoding == "u8" else 4
-    row_bytes = layout.header_bytes_per_row + layout.payload_bins * sample_bytes
-    need = layout.rows * row_bytes
+    sample = "u1" if layout.sample_encoding == "u8" else "<f4"
+    row = np.dtype([("header", "u1", (layout.header_bytes_per_row,)), ("power", sample, (layout.payload_bins,))])
+    need = layout.rows * row.itemsize
     buf = path.read_bytes()
     if len(buf) < need:
         raise IngestError(f"{path}: expected at least {need} bytes, found {len(buf)}")
-    raw = np.frombuffer(buf[:need], dtype=np.uint8).reshape(layout.rows, row_bytes)
-    payload = raw[:, layout.header_bytes_per_row:]
+    power = np.frombuffer(buf, dtype=row, count=layout.rows)["power"].astype(np.float64)
     if layout.sample_encoding == "u8":
-        power = payload.astype(np.float64) / 255.0
-    else:
-        power = np.frombuffer(payload.tobytes(), dtype="<f4").astype(np.float64)
-        power = power.reshape(layout.rows, layout.payload_bins)
+        power /= 255.0
     stem = path.stem
     timestamp = int(stem) if stem.isdigit() else 0
-    try:
+    with ingesting(path):
         return PolarScan(power, layout.range_resolution_m, timestamp, id=stem)
-    except ArgumentError as exc:
-        raise IngestError(f"{path}: {exc}") from exc
 
 
 def write_prsn(path, scan: PolarScan) -> None:
     """Serialise a scan to the native binary format (f32 payload)."""
-    header = _PRSN_HEADER.pack(
-        PRSN_MAGIC,
-        scan.azimuth_count,
-        scan.range_bin_count,
-        scan.range_resolution_m,
-        scan.timestamp_ns,
-    )
-    Path(path).write_bytes(header + scan.power.astype("<f4").tobytes())
+    fields = (scan.azimuth_count, scan.range_bin_count, scan.range_resolution_m, scan.timestamp_ns)
+    write_frame(path, PRSN_MAGIC, _PRSN_HEADER, fields, scan.power, "<f4")
 
 
 def read_prsn(path) -> PolarScan:
-    path = Path(path)
-    buf = path.read_bytes()
-    if len(buf) < _PRSN_HEADER.size:
-        raise IngestError(f"{path}: file shorter than header")
-    magic, rows, bins, res, timestamp = _PRSN_HEADER.unpack_from(buf)
-    if magic != PRSN_MAGIC:
-        raise IngestError(f"{path}: bad magic {magic!r}")
-    need = _PRSN_HEADER.size + rows * bins * 4
-    if len(buf) != need:
-        raise IngestError(f"{path}: expected {need} bytes, found {len(buf)}")
-    power = np.frombuffer(buf, dtype="<f4", offset=_PRSN_HEADER.size)
-    power = power.astype(np.float64).reshape(rows, bins)
-    try:
-        return PolarScan(power, res, timestamp, id=path.stem)
-    except ArgumentError as exc:
-        raise IngestError(f"{path}: {exc}") from exc
+    frame = FrameReader(path, PRSN_MAGIC)
+    rows, bins, res, timestamp = frame.header(_PRSN_HEADER)
+    power = frame.payload("<f4", (rows, bins)).astype(np.float64)
+    with ingesting(frame.path):
+        return PolarScan(power, res, timestamp, id=frame.path.stem)
 
 
 POSE_CSV_HEADER = ["timestamp_ns", "easting_m", "northing_m"]
@@ -214,37 +190,18 @@ POSE_CSV_HEADER = ["timestamp_ns", "easting_m", "northing_m"]
 
 def load_poses(path) -> TrajectoryPoses:
     """Read a pose CSV (header ``timestamp_ns,easting_m,northing_m``)."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file, expected a header row") from None
-        if [h.strip() for h in header] != POSE_CSV_HEADER:
-            raise IngestError(f"{path}: bad header {header!r}")
-        ts, east, north = [], [], []
-        for i, row in enumerate(reader, start=2):
-            try:
-                ts.append(int(row[0]))
-                east.append(float(row[1]))
-                north.append(float(row[2]))
-            except (ValueError, IndexError) as exc:
-                raise IngestError(f"{path}: row {i}: {exc}") from exc
-            if len(ts) > 1 and ts[-1] <= ts[-2]:
-                raise IngestError(f"{path}: row {i}: timestamp {ts[-1]} not after {ts[-2]}")
-    try:
-        return TrajectoryPoses(np.array(ts, dtype=np.int64), np.array(east), np.array(north))
-    except ArgumentError as exc:
-        raise IngestError(f"{path}: {exc}") from exc
+    rows = read_csv_rows(path, POSE_CSV_HEADER, lambda row: (np.int64(row[0]), float(row[1]), float(row[2])))
+    for i in range(1, len(rows)):
+        if rows[i][0] <= rows[i - 1][0]:
+            raise IngestError(f"{path}: row {i + 2}: timestamp {rows[i][0]} not after {rows[i - 1][0]}")
+    columns = zip(*rows) if rows else ((), (), ())
+    with ingesting(path):
+        return TrajectoryPoses(*columns)
 
 
 def write_poses(path, poses: TrajectoryPoses) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(POSE_CSV_HEADER)
-        for t, e, n in zip(poses.timestamps_ns, poses.easting_m, poses.northing_m):
-            writer.writerow([int(t), repr(float(e)), repr(float(n))])
+    rows = zip(poses.timestamps_ns, poses.easting_m, poses.northing_m)
+    write_csv_rows(path, POSE_CSV_HEADER, ([int(t), repr(float(e)), repr(float(n))] for t, e, n in rows))
 
 
 def suppress_near_range(scan: PolarScan, n_bins: int) -> PolarScan:

@@ -28,8 +28,8 @@ class SpectralScan:
 
     def __post_init__(self):
         mag = np.asarray(self.magnitude, dtype=np.float64)
-        if mag.ndim != 2:
-            raise ArgumentError(f"magnitude must be 2-D, got shape {mag.shape}")
+        if mag.ndim != 2 or mag.size == 0:
+            raise ArgumentError(f"magnitude must be a non-empty 2-D matrix, got shape {mag.shape}")
         if not np.isfinite(mag).all() or mag.min() < 0.0:
             raise ArgumentError("magnitude must be finite and non-negative")
         object.__setattr__(self, "magnitude", mag)

@@ -9,12 +9,11 @@ rather than crossed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import replace as dc_replace
-from pathlib import Path
 
 import numpy as np
 
+from ._files import write_csv_rows
 from .config import METHOD_RAPLACE, METHOD_RINGKEY, RunConfig
 from .descriptors import encode_ring_key
 from .errors import ArgumentError
@@ -73,11 +72,8 @@ def sweep_raplace(
 
 
 def write_sweep_csv(path, rows) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_HEADER)
-        for p1, p2, p3, recall in rows:
-            writer.writerow([_fmt(p1), _fmt(p2), _fmt(p3), f"{recall:.6f}"])
+    formatted = ([_fmt(p1), _fmt(p2), _fmt(p3), f"{recall:.6f}"] for p1, p2, p3, recall in rows)
+    write_csv_rows(path, SWEEP_CSV_HEADER, formatted)
 
 
 def _fmt(value):

@@ -8,19 +8,19 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, IngestError
+from ._files import ingesting, read_csv_rows, write_csv_rows
+from .errors import ArgumentError
 from .scans import PolarScan, Trajectory, TrajectoryPoses
 
 # Offset between per-place scene seeds inside a world; worlds with seeds
 # less than this many apart still get disjoint scene seeds.
 _SCENE_SEED_STRIDE = 1_000_003
 _TIMESTAMP_STEP_NS = 1_000_000_000
+_SCENE_CSV_HEADER = ["x_m", "y_m", "intensity"]
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,8 @@ class ReflectorScene:
         inten = np.asarray(self.intensities, dtype=np.float64).ravel()
         if pos.shape[0] != inten.shape[0]:
             raise ArgumentError("positions and intensities must have equal lengths")
+        if not np.isfinite(pos).all():
+            raise ArgumentError("reflector positions must be finite")
         if pos.size and np.abs(pos).max() > self.extent_m:
             raise ArgumentError("reflectors must lie within the scene extent")
         if inten.size and not ((inten > 0.0).all() and (inten <= 1.0).all()):
@@ -133,30 +135,17 @@ def render_polar(
 
 
 def save_scene_csv(path, scene: ReflectorScene) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_m", "y_m", "intensity"])
-        for (x, y), inten in zip(scene.positions, scene.intensities):
-            writer.writerow([repr(float(x)), repr(float(y)), repr(float(inten))])
+    rows = ([repr(float(x)), repr(float(y)), repr(float(i))] for (x, y), i in zip(scene.positions, scene.intensities))
+    write_csv_rows(path, _SCENE_CSV_HEADER, rows)
 
 
 def load_scene_csv(path, extent_m: float | None = None) -> ReflectorScene:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["x_m", "y_m", "intensity"]:
-            raise IngestError(f"{path}: bad header {header!r}")
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            try:
-                rows.append((float(row[0]), float(row[1]), float(row[2])))
-            except (ValueError, IndexError) as exc:
-                raise IngestError(f"{path}: row {i}: {exc}") from exc
+    rows = read_csv_rows(path, _SCENE_CSV_HEADER, lambda row: (float(row[0]), float(row[1]), float(row[2])))
     data = np.array(rows, dtype=np.float64).reshape(-1, 3)
     if extent_m is None:
         extent_m = float(np.abs(data[:, :2]).max()) if len(data) else 1.0
-    return ReflectorScene(data[:, :2], data[:, 2], extent_m)
+    with ingesting(path):
+        return ReflectorScene(data[:, :2], data[:, 2], extent_m)
 
 
 @dataclass(frozen=True)

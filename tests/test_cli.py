@@ -131,6 +131,26 @@ class TestIngest:
         assert "1001.bin" in capsys.readouterr().err
 
 
+class TestNonUtf8TextFile:
+    def test_ingest_poses(self, raw_source, tmp_path, capsys):
+        poses = tmp_path / "latin1_poses.csv"
+        poses.write_bytes(b"timestamp_ns,easting_m,northing_m\n1000,0.0,\xe9\n")
+        args = ingest_args(raw_source, tmp_path / "run")
+        args[args.index("--poses") + 1] = str(poses)
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert "latin1_poses.csv" in err and "Traceback" not in err
+        assert "wrote 3 scans" in out
+
+    def test_cluster_config(self, synth_pair, tmp_path, capsys):
+        _, ref = synth_pair
+        cfg_file = tmp_path / "latin1.cfg"
+        cfg_file.write_bytes(b"k = 3  # caf\xe9\n")
+        assert main(["cluster", "--run", str(ref), "--out", str(tmp_path / "x.cdbk"), "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("radvlad cluster:") and "latin1.cfg" in err and "Traceback" not in err
+
+
 class TestClusterEncode:
     def test_cluster_writes_codebook(self, synth_pair, tmp_path):
         _, ref = synth_pair

@@ -290,3 +290,10 @@ class TestPersistence:
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(IngestError):
             load_codebook(path)
+
+    def test_non_finite_centre_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "nan.cdbk"
+        save_codebook(path, Codebook(np.ones((2, 3)), inertia=0.0, iterations_run=0))
+        path.write_bytes(path.read_bytes()[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+        with pytest.raises(IngestError, match="nan.cdbk"):
+            load_codebook(path)

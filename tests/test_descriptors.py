@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from radvlad import (
     RaplaceDescriptor,
     RingKeyDescriptor,
     SensorPose,
+    SpectralScan,
     VladDescriptor,
     descriptor_distance,
     encode_raplace,
@@ -379,3 +381,36 @@ class TestDescriptorFiles:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(IngestError):
             load_descriptor(path)
+
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("cut_in_dims.desc", b"DESC\x01" + struct.pack("<I", 3)),
+            ("nan.desc", b"DESC\x01" + struct.pack("<II", 1, 2) + np.array([0.0, np.nan], dtype="<f8").tobytes()),
+            ("zero_angles.desc", b"DESC\x02" + struct.pack("<II", 0, 5)),
+            ("zero_k.desc", b"DESC\x01" + struct.pack("<II", 0, 5)),
+            ("unknown_kind.desc", b"DESC\x09" + struct.pack("<I", 0)),
+        ],
+        ids=["cut_in_dims", "nan", "zero_angles", "zero_k", "unknown_kind"],
+    )
+    def test_malformed_file_rejected_naming_the_file(self, tmp_path, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(IngestError, match=name):
+            load_descriptor(path)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: RaplaceDescriptor(np.zeros((0, 5))),
+        lambda: CartesianScan(np.zeros((0, 0)), 1.0),
+        lambda: SpectralScan(np.zeros((0, 3))),
+        lambda: RingKeyDescriptor(np.zeros(0)),
+        lambda: VladDescriptor(np.zeros(0), k=0, w=5),
+    ],
+    ids=["raplace", "cartesian", "spectral", "ring_key", "vlad"],
+)
+def test_zero_size_container_rejected(make):
+    with pytest.raises(ArgumentError):
+        make()

@@ -8,6 +8,7 @@ from radvlad import (
     Codebook,
     DistanceMatrix,
     GroundTruthMatrix,
+    IngestError,
     PlaceWorld,
     RunConfig,
     TrajectoryPoses,
@@ -209,6 +210,23 @@ class TestDistanceMatrixIO:
         back = read_distance_matrix(path)
         assert back.values.shape == (5, 7)
         assert np.array_equal(back.values, dm.values.astype(np.float32).astype(np.float64))
+
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("magic.dmat", lambda buf: b"NOPE" + buf[4:]),
+            ("truncated.dmat", lambda buf: buf[:-2]),
+            ("cut_in_header.dmat", lambda buf: buf[:6]),
+            ("nan.dmat", lambda buf: buf[:-4] + np.array([np.nan], dtype="<f4").tobytes()),
+        ],
+        ids=["bad_magic", "truncated", "cut_in_header", "nan"],
+    )
+    def test_malformed_file_rejected_naming_the_file(self, tmp_path, name, damage):
+        path = tmp_path / name
+        write_distance_matrix(path, DistanceMatrix(np.ones((2, 3))))
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(IngestError, match=name):
+            read_distance_matrix(path)
 
 
 @pytest.fixture(scope="module")

@@ -123,6 +123,20 @@ class TestPoseCsv:
         path.write_text("timestamp_ns,easting_m,northing_m\n")
         assert len(load_poses(path)) == 0
 
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"timestamp_ns,easting_m,northing_m\n1,0,\xff\n", "codec"),
+            (b"timestamp_ns,easting_m,northing_m\n99999999999999999999,0,0\n", "row 2"),
+        ],
+        ids=["not_utf8", "timestamp_overflow"],
+    )
+    def test_malformed_file_rejected_naming_the_file(self, tmp_path, data, reason):
+        path = tmp_path / "bad_poses.csv"
+        path.write_bytes(data)
+        with pytest.raises(IngestError, match=f"bad_poses.csv.*{reason}"):
+            load_poses(path)
+
     def test_unparsable_row_reports_line(self, tmp_path):
         path = tmp_path / "poses.csv"
         path.write_text("timestamp_ns,easting_m,northing_m\n1,0,0\n2,abc,0\n")
@@ -375,6 +389,12 @@ class TestPrsnFormat:
         buf[-4:] = np.array([np.nan], dtype="<f4").tobytes()
         path.write_bytes(bytes(buf))
         with pytest.raises(IngestError, match="nan.prsn"):
+            read_prsn(path)
+
+    def test_cut_inside_header_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "cut.prsn"
+        path.write_bytes(b"PRSN" + bytes(6))
+        with pytest.raises(IngestError, match="cut.prsn"):
             read_prsn(path)
 
 

@@ -4,6 +4,7 @@ from scipy.stats import spearmanr
 
 from radvlad import (
     ArgumentError,
+    IngestError,
     PlaceWorld,
     ReflectorScene,
     SensorPose,
@@ -115,6 +116,21 @@ class TestSceneCsv:
         back = load_scene_csv(path, extent_m=30.0)
         assert np.array_equal(back.positions, scene.positions)
         assert np.array_equal(back.intensities, scene.intensities)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"x_m,y_m,intensity\n1.0,2.0,2.0\n",
+            b"x_m,y_m,intensity\n1.0,2.0,\xe9\n",
+            b"x_m,y_m,intensity\nnan,0.0,0.5\n1.0,inf,0.5\n",
+        ],
+        ids=["intensity_above_one", "not_utf8", "non_finite_position"],
+    )
+    def test_malformed_file_rejected_naming_the_file(self, tmp_path, data):
+        path = tmp_path / "bad_scene.csv"
+        path.write_bytes(data)
+        with pytest.raises(IngestError, match="bad_scene.csv"):
+            load_scene_csv(path)
 
 
 class TestPlaceWorld:
