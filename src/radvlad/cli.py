@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import runs, sweep
 from .codebook import load_codebook, save_codebook
-from .config import METHODS, VLAD_METHODS, build_run_config, config_keys, parse_config_file
+from .config import METHODS, build_run_config, config_keys, parse_config_file
 from .descriptors import save_descriptor
 from .errors import ArgumentError, IngestError, NumericError
 from .evaluate import (
@@ -140,9 +140,6 @@ def cmd_ingest(args) -> int:
 
 def cmd_cluster(args) -> int:
     cfg = _config_from_args(args)
-    if cfg.method not in VLAD_METHODS:
-        print(f"cluster: method must be one of {VLAD_METHODS}", file=sys.stderr)
-        return 1
     trajectory = runs.load_trajectory(args.run, require_poses=False)
     scans = downsample_trajectory(trajectory.scans, cfg.stride)
     codebook = fit_method_codebook(scans, cfg.method, cfg)
@@ -158,12 +155,7 @@ def cmd_encode(args) -> int:
     cfg = _config_from_args(args)
     trajectory = runs.load_trajectory(args.run, require_poses=False)
     scans = downsample_trajectory(trajectory.scans, cfg.stride)
-    codebook = None
-    if cfg.method in VLAD_METHODS:
-        if not args.codebook:
-            print(f"encode: --codebook is required for {cfg.method}", file=sys.stderr)
-            return 1
-        codebook = load_codebook(args.codebook)
+    codebook = load_codebook(args.codebook) if args.codebook else None
     descriptors = encode_trajectory(scans, cfg.method, cfg, codebook, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -138,7 +138,11 @@ def _vector_of(descriptor) -> np.ndarray:
 
 
 def descriptor_distance(a, b) -> float:
-    """Squared Euclidean distance between two vector descriptors."""
+    """Squared Euclidean distance between two vector descriptors of one
+    class, or plain arrays; descriptors of different classes raise."""
+    kinds = (RingKeyDescriptor, VladDescriptor, RaplaceDescriptor)
+    if isinstance(a, kinds) and isinstance(b, kinds) and type(a) is not type(b):
+        raise ArgumentError(f"descriptor classes differ: {type(a).__name__} vs {type(b).__name__}")
     va, vb = _vector_of(a), _vector_of(b)
     if va.size != vb.size:
         raise ArgumentError(f"descriptor lengths differ: {va.size} vs {vb.size}")

@@ -5,6 +5,11 @@ descriptor distance, gates correctness by planar pose distance, and
 reports Recall@N. Distance matrices are oriented queries-by-references;
 similarity scores (the sinogram-spectrum method) are negated on ingestion
 so that lower always means more similar.
+
+Every method runs one pipeline: per-azimuth rows, a codebook fitted on
+the reference run only, a per-scan encode, and a match against the map.
+``Method`` makes each per-method choice in that pipeline once; the rest
+of this module prepares a ``Method`` and calls it.
 """
 
 from __future__ import annotations
@@ -30,10 +35,11 @@ from .config import (
     METHOD_RAPLACE,
     METHOD_RINGKEY,
     METHODS,
-    VLAD_METHODS,
     RunConfig,
 )
 from .descriptors import (
+    RaplaceDescriptor,
+    RingKeyDescriptor,
     VladDescriptor,
     _peak_correlation,
     descriptor_distance,
@@ -197,115 +203,139 @@ def _map_jobs(fn, items, jobs: int):
         yield from pool.map(fn, items)
 
 
-def _rows_of(method: str, cfg: RunConfig):
-    """Per-scan closure giving the per-azimuth rows a residual method
-    clusters and aggregates: folded radial spectra
-    (``spectral.fold_half_spectrum``, W//2+1 columns) or preprocessed
-    power (W columns)."""
-    if method == METHOD_FFT_RADVLAD:
-        return lambda s: fold_half_spectrum(radial_fft_magnitude(preprocess_scan(s, cfg)).magnitude)
-    if method == METHOD_RADVLAD:
-        return lambda s: preprocess_scan(s, cfg).power
-    raise ArgumentError(f"method {method!r} does not use a codebook")
-
-
-def training_rows(scans, method: str, cfg: RunConfig) -> np.ndarray:
-    """Stacked per-azimuth training vectors for codebook fitting, as
-    ``_rows_of`` gives them.
-
-    Each scan's rows are written straight into one array sized up front,
-    so the training set is held once.
+class Method:
+    """One method, prepared: every choice that depends on which method runs
+    is made here, once, from ``(name, cfg, codebook)``: the per-azimuth
+    ``rows`` a residual method clusters and aggregates (``width`` columns;
+    None for the methods without a codebook), ``fit``, the per-scan
+    ``encode``, the ``descriptor_class`` and ``field`` a ``PlaceMap``
+    stacks, the map kernel ``match`` and the descriptor-pair ``compare``.
+    ``cfg`` defaults to the method's ``RunConfig``. The stages it runs are
+    looked up in this module's globals when they run, not when it is built.
     """
-    rows_of = _rows_of(method, cfg)
-    width = cfg.target_bins // 2 + 1 if method == METHOD_FFT_RADVLAD else cfg.target_bins
-    out = np.empty((sum(s.azimuth_count for s in scans), width))
-    start = 0
-    for s in scans:
-        out[start : start + s.azimuth_count] = rows_of(s)
-        start += s.azimuth_count
-    return out
+
+    def __init__(self, name: str, cfg: RunConfig | None = None, codebook: Codebook | None = None):
+        if name not in METHODS:
+            raise ArgumentError(f"method must be one of {METHODS}, got {name!r}")
+        cfg = cfg if cfg is not None else RunConfig(method=name)
+        self.name, self.cfg, self.codebook = name, cfg, codebook
+        self.descriptor_class, self.field = VladDescriptor, "values"
+        self.match, self.compare = _sq_distance_matrix, descriptor_distance
+        self.rows, self.width, self.encode = None, cfg.target_bins, self._needs_codebook
+        # The encoders capture locals, not self, so a method that can encode
+        # holds no reference cycle and is freed as soon as it is dropped.
+        if name == METHOD_RINGKEY:
+            self.descriptor_class = RingKeyDescriptor
+            self.encode = lambda scan: encode_ring_key(preprocess_scan(scan, cfg))
+        elif name == METHOD_RAPLACE:
+            self.descriptor_class, self.field = RaplaceDescriptor, "spectrum"
+            self.match, self.compare = _raplace_distance_matrix, raplace_similarity
+            self.encode = lambda scan: encode_raplace(scan, cfg.raplace)
+        elif name == METHOD_RADVLAD:
+            self.rows = rows = lambda scan: preprocess_scan(scan, cfg).power
+            if codebook is not None:
+                self.encode = lambda scan: encode_vlad(rows(scan), codebook, l2_normalize=cfg.vlad_l2_normalize)
+        else:
+            self.rows = rows = lambda scan: fold_half_spectrum(
+                radial_fft_magnitude(preprocess_scan(scan, cfg)).magnitude
+            )
+            self.width = cfg.target_bins // 2 + 1
+            if codebook is not None:
+                self.encode = _folded_encoder(rows, codebook, cfg)
+
+    def _needs_codebook(self, scan):
+        raise ArgumentError(f"method {self.name!r} requires a codebook")
+
+    def training_rows(self, scans) -> np.ndarray:
+        """Every scan's ``rows``, written straight into one array sized up
+        front, so the codebook's training set is held once."""
+        out = np.empty((sum(s.azimuth_count for s in scans), self.width))
+        start = 0
+        for s in scans:
+            out[start : start + s.azimuth_count] = self.rows(s)
+            start += s.azimuth_count
+        return out
+
+    def fit(self, scans) -> "Method":
+        """This method with its codebook fitted on the training rows of
+        ``scans``, or itself if it uses no codebook. Radial spectra are
+        fitted folded; the fold keeps every distance, so the centres unfold
+        to the full-width fit's up to rounding, and the codebook is
+        ``cfg.target_bins`` wide for either residual method."""
+        if self.rows is None:
+            return self
+        cfg = self.cfg
+        rows = self.training_rows(scans)
+        codebook = fit_kmeans_pp(rows, cfg.k, tol=cfg.kmeans_tol, seed=cfg.kmeans_seed, max_iter=cfg.kmeans_max_iter)
+        if self.name == METHOD_FFT_RADVLAD:
+            codebook = dc_replace(codebook, centres=unfold_half_spectrum(codebook.centres, cfg.target_bins))
+        return Method(self.name, cfg, codebook)
+
+    def array_of(self, descriptor) -> np.ndarray:
+        """The array a map stacks of ``descriptor``, which must be of this method's class."""
+        if not isinstance(descriptor, self.descriptor_class):
+            raise ArgumentError(f"{self.name} takes {self.descriptor_class.__name__}, not {type(descriptor).__name__}")
+        return getattr(descriptor, self.field)
 
 
-def fit_method_codebook(ref_scans, method: str, cfg: RunConfig) -> Codebook:
-    """The method's codebook, fitted on the training rows of ``ref_scans``.
-
-    Radial spectra are fitted folded; the fold keeps every distance, so
-    the centres unfold to the full-width fit's up to rounding, and the
-    codebook is ``cfg.target_bins`` wide for either method.
-    """
-    rows = training_rows(ref_scans, method, cfg)
-    codebook = fit_kmeans_pp(rows, cfg.k, tol=cfg.kmeans_tol, seed=cfg.kmeans_seed, max_iter=cfg.kmeans_max_iter)
-    if method == METHOD_FFT_RADVLAD:
-        codebook = dc_replace(codebook, centres=unfold_half_spectrum(codebook.centres, cfg.target_bins))
-    return codebook
-
-
-def _encoder(method: str, cfg: RunConfig, codebook: Codebook | None = None):
-    """Per-scan descriptor closure taking the raw scan: the
-    sinogram-spectrum pipeline consumes it as is, the polar methods
-    preprocess it first."""
-    if method == METHOD_RINGKEY:
-        return lambda s: encode_ring_key(preprocess_scan(s, cfg))
-    if method == METHOD_RAPLACE:
-        return lambda s: encode_raplace(s, cfg.raplace)
-    if method not in VLAD_METHODS:
-        raise ArgumentError(f"unknown method {method!r}")
-    if codebook is None:
-        raise ArgumentError(f"method {method!r} requires a codebook")
-    rows_of = _rows_of(method, cfg)
-    if method == METHOD_RADVLAD:
-        return lambda s: encode_vlad(rows_of(s), codebook, l2_normalize=cfg.vlad_l2_normalize)
-
-    # Radial spectra are labelled and aggregated folded, against centres
-    # folded once here; the k x (W//2+1) residual unfolds to the k x W
-    # descriptor. That needs centres that are spectra themselves.
+def _folded_encoder(rows, codebook: Codebook, cfg: RunConfig):
+    """``fft_radvlad``'s encode. Radial spectra are labelled and aggregated
+    folded, against centres folded once here; the k x (W//2+1) residual
+    unfolds to the k x W descriptor. That needs centres that are spectra
+    themselves."""
     k, width = codebook.k, codebook.width
     if width != cfg.target_bins or not is_mirror_symmetric(codebook.centres):
-        raise ArgumentError(f"{method} needs a mirror-symmetric codebook of width {cfg.target_bins}")
+        raise ArgumentError(f"{METHOD_FFT_RADVLAD} needs a mirror-symmetric codebook of width {cfg.target_bins}")
     folded = dc_replace(codebook, centres=fold_half_spectrum(codebook.centres))
 
     def encode(scan):
-        half = encode_vlad(rows_of(scan), folded, l2_normalize=cfg.vlad_l2_normalize)
+        half = encode_vlad(rows(scan), folded, l2_normalize=cfg.vlad_l2_normalize)
         return VladDescriptor(unfold_half_spectrum(half.values.reshape(k, -1), width).reshape(-1), k, width)
 
     return encode
 
 
+def fit_method_codebook(ref_scans, method: str, cfg: RunConfig) -> Codebook:
+    """The method's codebook, fitted on the training rows of ``ref_scans`` (see ``Method.fit``)."""
+    codebook = Method(method, cfg).fit(ref_scans).codebook
+    if codebook is None:
+        raise ArgumentError(f"method {method!r} does not use a codebook")
+    return codebook
+
+
 class PlaceMap(Sequence):
     """Encoded places of one run, held once with what matching reuses.
 
-    A sequence of the method's descriptors. Their arrays are copied, as
-    they arrive, into one contiguous read-only float64 ``stack`` and each
-    descriptor is re-pointed at its row, so the map holds a single copy
-    and writing to a descriptor raises instead of leaving a cache stale.
-    Matching reads every row's squared norm (``sq_norms``), or for
-    ``raplace`` every spectrum's conjugated angle-axis FFT (``fft_conj``)
-    and Frobenius norm (``norms``); each is computed on first use and kept.
+    A sequence of one method's descriptors; ``method`` is that ``Method``,
+    or its name. The descriptors' arrays are copied, as they arrive, into
+    one contiguous read-only float64 ``stack`` and each descriptor is
+    re-pointed at its row, so the map holds a single copy and writing to a
+    descriptor raises instead of leaving a cache stale. Matching reads
+    every row's squared norm (``sq_norms``), or for ``raplace`` every
+    spectrum's conjugated angle-axis FFT (``fft_conj``) and Frobenius norm
+    (``norms``); each is computed on first use and kept.
     """
 
-    def __init__(self, method: str, descriptors, count: int | None = None):
-        if method not in METHODS:
-            raise ArgumentError(f"method must be one of {METHODS}, got {method!r}")
+    def __init__(self, method, descriptors, count: int | None = None):
+        self.method = method if isinstance(method, Method) else Method(method)
         if count is None:
             descriptors = list(descriptors)
             count = len(descriptors)
         if count < 1:
             raise ArgumentError("a map needs at least one descriptor")
-        field = "spectrum" if method == METHOD_RAPLACE else "values"
         stack = None
         placed = []
         for i, descriptor in enumerate(descriptors):
-            array = getattr(descriptor, field)
+            array = self.method.array_of(descriptor)
             if stack is None:
                 stack = np.empty((count, *array.shape))
             elif i >= count or array.shape != stack.shape[1:]:
                 raise ArgumentError(f"descriptor {i} does not fit a map of {count} x {stack.shape[1:]}")
             stack[i] = array
             # A view keeps its own write flag, so freezing the stack later would not cover it.
-            placed.append(dc_replace(descriptor, **{field: _frozen(stack[i])}))
+            placed.append(dc_replace(descriptor, **{self.method.field: _frozen(stack[i])}))
         if len(placed) != count:
             raise ArgumentError(f"expected {count} descriptors, got {len(placed)}")
-        self._field = field
         self.stack = _frozen(stack)
         self._descriptors = tuple(placed)
 
@@ -339,10 +369,15 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 def encode_trajectory(scans, method: str, cfg: RunConfig, codebook: Codebook | None = None, jobs: int = 1) -> PlaceMap:
     """The map of ``scans``: one descriptor per scan, encoded with up to ``jobs`` workers."""
-    return PlaceMap(method, _map_jobs(_encoder(method, cfg, codebook), scans, jobs), len(scans))
+    prepared = Method(method, cfg, codebook)
+    return PlaceMap(prepared, _map_jobs(prepared.encode, scans, jobs), len(scans))
 
 
-def _raplace_similarity_matrix(queries: np.ndarray, refs: PlaceMap) -> np.ndarray:
+def _sq_distance_matrix(queries: np.ndarray, refs: PlaceMap) -> DistanceMatrix:
+    return DistanceMatrix(pairwise_sq_dist(queries, refs.stack, b_sq=refs.sq_norms))
+
+
+def _raplace_distance_matrix(queries: np.ndarray, refs: PlaceMap) -> DistanceMatrix:
     """Peak circular correlation of every query spectrum with the map's, normalised by descriptor norms.
 
     The normalisation bounds every entry by 1 with equality only for a
@@ -355,25 +390,27 @@ def _raplace_similarity_matrix(queries: np.ndarray, refs: PlaceMap) -> np.ndarra
     sim = np.empty((len(queries), len(refs)))
     for i in range(len(queries)):
         sim[i] = _peak_correlation(fq[i], refs.fft_conj)
-    return sim / scale
+    return DistanceMatrix.from_similarity(sim / scale)
 
 
 def distance_matrix_from_descriptors(method: str, query_descs, ref_descs) -> DistanceMatrix:
-    """Queries-by-references distances. The references are matched as a
-    ``PlaceMap``, built here from a plain sequence of descriptors; the
-    queries are stacked, or a query ``PlaceMap``'s stack is taken as is."""
+    """Queries-by-references distances under ``method``. The references are
+    matched as a ``PlaceMap``, built here from a plain sequence of
+    descriptors; the queries are stacked, or a query ``PlaceMap``'s stack is
+    taken as is. A map of another method, or a descriptor not of the
+    method's class, is an ``ArgumentError``."""
     refs = ref_descs if isinstance(ref_descs, PlaceMap) else PlaceMap(method, ref_descs)
-    shape = refs.stack.shape[1:]
+    for given in (refs, query_descs):
+        if isinstance(given, PlaceMap) and given.method.name != method:
+            raise ArgumentError(f"cannot match by {method}: given a {given.method.name} map")
     if isinstance(query_descs, PlaceMap):
         queries = query_descs.stack
     else:
-        queries = [getattr(descriptor, refs._field) for descriptor in query_descs]
+        queries = [refs.method.array_of(descriptor) for descriptor in query_descs]
+    shape = refs.stack.shape[1:]
     if len(queries) == 0 or any(query.shape != shape for query in queries):
         raise ArgumentError(f"queries must be one or more descriptors of the reference shape {shape}")
-    queries = np.asarray(queries)
-    if method == METHOD_RAPLACE:
-        return DistanceMatrix.from_similarity(_raplace_similarity_matrix(queries, refs))
-    return DistanceMatrix(pairwise_sq_dist(queries, refs.stack, b_sq=refs.sq_norms))
+    return refs.method.match(np.asarray(queries), refs)
 
 
 def _timed_map(fn, items, jobs: int, seconds: list):
@@ -422,22 +459,18 @@ def run_pair(
     written there.
     """
     query_scans, ref_scans, gt = pair_setup(query, ref, cfg)
+    prepared = Method(method, cfg).fit(ref_scans)
 
-    codebook = None
-    if method in VLAD_METHODS:
-        codebook = fit_method_codebook(ref_scans, method, cfg)
-
-    encode = _encoder(method, cfg, codebook)
     encode_seconds = []
-    ref_map = PlaceMap(method, _timed_map(encode, ref_scans, jobs, encode_seconds), len(ref_scans))
-    query_map = PlaceMap(method, _timed_map(encode, query_scans, jobs, encode_seconds), len(query_scans))
+    ref_map = PlaceMap(prepared, _timed_map(prepared.encode, ref_scans, jobs, encode_seconds), len(ref_scans))
+    query_map = PlaceMap(prepared, _timed_map(prepared.encode, query_scans, jobs, encode_seconds), len(query_scans))
 
     start = time.perf_counter()
     distances = distance_matrix_from_descriptors(method, query_map, ref_map)
     distance_seconds = time.perf_counter() - start
 
     recall = recall_at_n(distances, gt, cfg.n_max)
-    run = EvalRun(query.name, ref.name, method, distances, gt, recall, codebook)
+    run = EvalRun(query.name, ref.name, method, distances, gt, recall, prepared.codebook)
 
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -450,8 +483,8 @@ def run_pair(
             np.array([distance_seconds]),
         )
         write_timing_csv(out_dir / "timing.csv", [timing])
-        if codebook is not None:
-            save_codebook(out_dir / "codebook.cdbk", codebook)
+        if prepared.codebook is not None:
+            save_codebook(out_dir / "codebook.cdbk", prepared.codebook)
     return run
 
 
@@ -566,27 +599,24 @@ def bench_timings(method: str, scans, repetitions: int, cfg: RunConfig | None = 
     """Time descriptor construction and one descriptor-pair comparison.
 
     Each build sample times one raw scan's encode, preprocessing
-    included, through the same per-method encoder and timed loop
+    included, through the same ``Method.encode`` and timed loop
     (``_timed_map``) as ``run_pair``, cycling through the given scans;
-    each distance sample times one distance/similarity evaluation
-    between two fixed descriptors, through the same loop. The
+    each distance sample times one ``Method.compare`` between two fixed
+    descriptors, through the same loop. The
     codebook is fitted on the scans outside the timed region, and BLAS
     thread pools are pinned to one thread so the samples are comparable
     across methods; the report records the BLAS thread count in effect
     while timing.
     """
-    if method not in METHODS:
-        raise ArgumentError(f"method must be one of {METHODS}, got {method!r}")
+    prepared = Method(method, cfg)
     if not scans:
         raise ArgumentError("at least one scan is required")
     if repetitions < 0:
         raise ArgumentError("repetitions must be >= 0")
     if repetitions == 0:
         return TimingReport(method, np.zeros(0), np.zeros(0))
-    cfg = cfg if cfg is not None else RunConfig(method=method)
-    codebook = fit_method_codebook(scans, method, cfg) if method in VLAD_METHODS else None
-    encode = _encoder(method, cfg, codebook)
-    compare = raplace_similarity if method == METHOD_RAPLACE else descriptor_distance
+    prepared = prepared.fit(scans)
+    encode = prepared.encode
 
     build, distance = [], []
     with _single_thread_context():
@@ -595,7 +625,7 @@ def bench_timings(method: str, scans, repetitions: int, cfg: RunConfig | None = 
             pass
         left = encode(scans[0])
         right = encode(scans[min(1, len(scans) - 1)])
-        for _ in _timed_map(functools.partial(compare, left), [right] * repetitions, 1, distance):
+        for _ in _timed_map(functools.partial(prepared.compare, left), [right] * repetitions, 1, distance):
             pass
     return TimingReport(method, np.array(build), np.array(distance), threads)
 

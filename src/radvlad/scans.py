@@ -130,7 +130,7 @@ class RasterLayoutConfig:
 
     Each of ``rows`` azimuth records is ``header_bytes_per_row`` bytes of
     metadata followed by ``payload_bins`` samples encoded as ``u8`` or
-    ``f32-LE``.
+    ``f32-LE``; the records make up the whole file.
     """
 
     rows: int
@@ -152,7 +152,8 @@ def load_polar_scan(path, layout: RasterLayoutConfig) -> PolarScan:
     """Read one raw scan file under the given byte layout.
 
     u8 samples are mapped to [0, 1] by division by 255; f32-LE samples are
-    passed through. The per-row header bytes are skipped. The file stem is
+    passed through. The per-row header bytes are skipped. A file whose
+    length is not exactly the layout's is an ``IngestError``. The file stem is
     used as the scan id and, when it is all digits, as the timestamp.
     """
     path = Path(path)
@@ -160,9 +161,9 @@ def load_polar_scan(path, layout: RasterLayoutConfig) -> PolarScan:
     row = np.dtype([("header", "u1", (layout.header_bytes_per_row,)), ("power", sample, (layout.payload_bins,))])
     need = layout.rows * row.itemsize
     buf = path.read_bytes()
-    if len(buf) < need:
-        raise IngestError(f"{path}: expected at least {need} bytes, found {len(buf)}")
-    power = np.frombuffer(buf, dtype=row, count=layout.rows)["power"].astype(np.float64)
+    if len(buf) != need:
+        raise IngestError(f"{path}: layout of {layout.rows} rows needs exactly {need} bytes, found {len(buf)}")
+    power = np.frombuffer(buf, dtype=row)["power"].astype(np.float64)
     if layout.sample_encoding == "u8":
         power /= 255.0
     stem = path.stem

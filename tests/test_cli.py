@@ -130,6 +130,14 @@ class TestIngest:
         assert [p.name for p in written] == ["000000.prsn", "000002.prsn"]
         assert "1001.bin" in capsys.readouterr().err
 
+    def test_trailing_bytes_fail(self, tmp_path, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "long.bin").write_bytes(bytes(40))
+        assert main(["ingest", "--src", str(src), "--out", str(tmp_path / "run"), "--rows", "2", "--bins", "4"]) == 1
+        out, err = capsys.readouterr()
+        assert "long.bin" in err and "found 40" in err and "wrote 0 scans" in out
+
 
 class TestNonUtf8TextFile:
     def test_ingest_poses(self, raw_source, tmp_path, capsys):
@@ -192,6 +200,15 @@ class TestClusterEncode:
         rc = main(["encode", "--run", str(ref), "--out", str(tmp_path / "d"), "--method", "radvlad", *SYNTH_CFG_FLAGS])
         assert rc == 1
 
+    @pytest.mark.parametrize("command, method", [("cluster", "ringkey"), ("encode", "fft_radvlad")])
+    def test_method_lacking_what_the_command_needs_exits_1(self, synth_pair, tmp_path, capsys, command, method):
+        _, ref = synth_pair
+        out = tmp_path / "out"
+        assert main([command, "--run", str(ref), "--out", str(out), "--method", method, *SYNTH_CFG_FLAGS]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"radvlad {command}:") and method in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_cluster_and_encode_idempotent(self, synth_pair, tmp_path):
         _, ref = synth_pair
         cb_a, cb_b = tmp_path / "a.cdbk", tmp_path / "b.cdbk"
@@ -236,10 +253,11 @@ class TestLocalize:
         assert main(args + ["--out", str(out_b)]) == 0
         assert tree_digest(out_a) == tree_digest(out_b)
 
-    def test_jobs_do_not_change_artifacts(self, synth_pair, tmp_path):
+    @pytest.mark.parametrize("method", ["ringkey", "raplace", "radvlad", "fft_radvlad"])
+    def test_jobs_do_not_change_artifacts(self, synth_pair, tmp_path, method):
         query, ref = synth_pair
         out_a, out_b = tmp_path / "j1", tmp_path / "j2"
-        args = ["localize", "--query", str(query), "--ref", str(ref), "--method", "radvlad", *SYNTH_CFG_FLAGS]
+        args = ["localize", "--query", str(query), "--ref", str(ref), "--method", method, *SYNTH_CFG_FLAGS]
         assert main(args + ["--out", str(out_a), "--jobs", "1"]) == 0
         assert main(args + ["--out", str(out_b), "--jobs", "3"]) == 0
         assert tree_digest(out_a) == tree_digest(out_b)

@@ -167,6 +167,13 @@ class TestDescriptorDistance:
         with pytest.raises(ArgumentError):
             descriptor_distance(np.zeros(3), np.zeros(4))
 
+    def test_descriptors_of_different_classes_raise(self):
+        ring_key, vlad = RingKeyDescriptor(np.ones(8)), VladDescriptor(np.zeros(8), 2, 4)
+        for a, b in ((ring_key, vlad), (vlad, ring_key)):
+            with pytest.raises(ArgumentError, match="RingKeyDescriptor"):
+                descriptor_distance(a, b)
+        assert descriptor_distance(ring_key, np.zeros(8)) == descriptor_distance(np.zeros(8), vlad.values + 1) == 8.0
+
 
 class TestRadonSinogram:
     def test_zero_image(self):

@@ -33,6 +33,7 @@ from radvlad.descriptors import (
     raplace_similarity,
 )
 from radvlad.evaluate import (
+    Method,
     PlaceMap,
     _openblas_thread_functions,
     _single_thread_context,
@@ -42,7 +43,6 @@ from radvlad.evaluate import (
     fit_method_codebook,
     preprocess_scan,
     read_distance_matrix,
-    training_rows,
     write_distance_matrix,
     write_results_csv,
 )
@@ -400,6 +400,21 @@ class TestPlaceMap:
             with pytest.raises(ArgumentError):
                 distance_matrix_from_descriptors(method, bad, place_map)
 
+    def test_descriptors_of_another_class_raise(self):
+        ring_key, vlad = RingKeyDescriptor(np.ones(8)), VladDescriptor(np.zeros(8), 2, 4)
+        for queries, refs in (([vlad], [ring_key, ring_key]), ([ring_key], [vlad, vlad])):
+            with pytest.raises(ArgumentError, match="VladDescriptor"):
+                distance_matrix_from_descriptors("ringkey", queries, refs)
+
+    def test_map_of_another_method_raises(self):
+        # radvlad and fft_radvlad descriptors share a class and a shape.
+        ref_scans, query_scans, cfg, codebook = _map_inputs("radvlad", 0)
+        place_map = encode_trajectory(ref_scans, "radvlad", cfg, codebook)
+        queries = encode_trajectory(query_scans, "radvlad", cfg, codebook)
+        for query_descs, ref_descs in ((list(queries), place_map), (queries, list(place_map))):
+            with pytest.raises(ArgumentError, match="radvlad map"):
+                distance_matrix_from_descriptors("fft_radvlad", query_descs, ref_descs)
+
     def test_descriptor_shape_mismatch_raises(self, small_world):
         cfg = synthetic_run_config(small_world.cfg, "ringkey")
         scans = small_world.reference_trajectory().scans
@@ -423,8 +438,8 @@ class TestFoldedSpectra:
 
     def test_training_rows_are_folded(self, fitted):
         scans, cfg, full_rows, _ = fitted
-        assert training_rows(scans, "fft_radvlad", cfg).shape == (len(full_rows), cfg.target_bins // 2 + 1)
-        assert training_rows(scans, "radvlad", cfg).shape == full_rows.shape
+        assert Method("fft_radvlad", cfg).training_rows(scans).shape == (len(full_rows), cfg.target_bins // 2 + 1)
+        assert Method("radvlad", cfg).training_rows(scans).shape == full_rows.shape
 
     def test_folded_fit_matches_full_width_fit(self, fitted):
         _, cfg, full_rows, folded = fitted

@@ -78,6 +78,13 @@ class TestRawIngestion:
         with pytest.raises(IngestError):
             load_polar_scan(path, layout)
 
+    def test_trailing_bytes_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "long.bin"
+        path.write_bytes(bytes(40))
+        layout = RasterLayoutConfig(rows=2, header_bytes_per_row=0, payload_bins=4)
+        with pytest.raises(IngestError, match=r"long\.bin: .*exactly 8 bytes, found 40"):
+            load_polar_scan(path, layout)
+
     def test_f32_passthrough(self, tmp_path):
         values = np.array([[0.25, 1.5, 0.0, 3.0]], dtype="<f4")
         path = tmp_path / "f.bin"
