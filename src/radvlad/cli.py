@@ -32,18 +32,20 @@ from .synthetic import WorldConfig
 JOBS_ENV_VAR = "RADVLAD_JOBS"
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get(JOBS_ENV_VAR, "1")))
-    except ValueError:
-        return 1
+def _jobs(text: str) -> int:
+    """argparse ``type=`` of ``--jobs``; argparse also runs it on the
+    default, ``$RADVLAD_JOBS`` (unset or empty means 1), when the flag is
+    not given."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"--jobs and ${JOBS_ENV_VAR} take an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _add_jobs_flag(parser) -> None:
     parser.add_argument(
         "--jobs",
-        type=int,
-        default=_default_jobs(),
+        type=_jobs,
+        default=os.environ.get(JOBS_ENV_VAR) or "1",
         help=f"worker parallelism; ${JOBS_ENV_VAR} sets the default (default: 1)",
     )
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._files import FrameReader, ingesting, write_frame
-from .errors import ArgumentError
+from .errors import ArgumentError, finite_array, finite_positive
 
 CDBK_MAGIC = b"CDBK"
 _CDBK_HEADER = "<IIQ"
@@ -38,13 +38,8 @@ class Codebook:
 
     def __post_init__(self):
         # The centres are copied and frozen so their cached norms cannot go stale.
-        centres = np.array(self.centres, dtype=np.float64)
-        if centres.ndim != 2 or centres.shape[0] < 1:
-            raise ArgumentError(f"centres must be a k x W matrix, got shape {centres.shape}")
-        if not np.isfinite(centres).all():
-            raise ArgumentError("centres must be finite")
-        if self.inertia < 0.0:
-            raise ArgumentError("inertia must be non-negative")
+        centres = finite_array("centres", np.array(self.centres, dtype=np.float64), 2)
+        finite_positive("inertia", self.inertia, zero_ok=True)
         centres.setflags(write=False)
         object.__setattr__(self, "centres", centres)
         object.__setattr__(self, "centre_sq_norms", sq_norms(centres))
@@ -173,8 +168,9 @@ def fit_kmeans_pp(vectors, k: int, tol: float = 1e-4, seed: int = 0, max_iter: i
         raise ArgumentError(f"k must be >= 1, got {k}")
     if k > vectors.shape[0]:
         raise ArgumentError(f"k={k} exceeds the {vectors.shape[0]} available vectors")
-    if tol <= 0.0 or max_iter < 1:
-        raise ArgumentError("tol must be positive and max_iter >= 1")
+    finite_positive("tol", tol)
+    if max_iter < 1:
+        raise ArgumentError(f"max_iter must be >= 1, got {max_iter}")
     if seed < 0:
         raise ArgumentError(f"seed must be >= 0, got {seed}")
 
@@ -206,11 +202,9 @@ def fit_kmeans_pp(vectors, k: int, tol: float = 1e-4, seed: int = 0, max_iter: i
 
 def assign_nearest(codebook: Codebook, x) -> int:
     """Index of the centre nearest to ``x``; ties go to the lowest index."""
-    x = np.asarray(x, dtype=np.float64).ravel()
+    x = finite_array("vector", np.ravel(x), 1)
     if x.size != codebook.width:
         raise ArgumentError(f"vector length {x.size} != codebook width {codebook.width}")
-    if not np.isfinite(x).all():
-        raise ArgumentError("vector must be finite")
     return int(nearest_centre_labels(x[None, :], codebook)[0])
 
 

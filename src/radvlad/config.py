@@ -12,7 +12,7 @@ from pathlib import Path
 
 from ._files import ingesting
 from .descriptors import RaplaceConfig
-from .errors import ArgumentError
+from .errors import ArgumentError, finite_positive
 
 METHOD_RINGKEY = "ringkey"
 METHOD_RAPLACE = "raplace"
@@ -44,8 +44,8 @@ class RunConfig:
             raise ArgumentError("target_bins, k, stride, n_max, kmeans_max_iter must be >= 1")
         if self.suppress_bins < 0 or self.kmeans_seed < 0:
             raise ArgumentError("suppress_bins and kmeans_seed must be >= 0")
-        if self.kmeans_tol <= 0.0 or self.threshold_m <= 0.0:
-            raise ArgumentError("kmeans_tol and threshold_m must be positive")
+        finite_positive("kmeans_tol", self.kmeans_tol)
+        finite_positive("threshold_m", self.threshold_m)
 
 
 def parse_config_file(path) -> dict:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._files import FrameReader, ingesting, write_frame
 from .codebook import Codebook, cluster_sums, nearest_centre_labels
-from .errors import ArgumentError, IngestError
+from .errors import ArgumentError, IngestError, finite_array, finite_positive
 from .scans import CartesianScan, PolarScan, linear_resample_columns, polar_to_cartesian
 
 DESC_MAGIC = b"DESC"
@@ -36,10 +36,7 @@ class RingKeyDescriptor:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64).ravel()
-        if values.size == 0 or not np.isfinite(values).all() or values.min() < 0.0:
-            raise ArgumentError("ring key values must be non-empty, finite and non-negative")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", finite_array("ring key values", np.ravel(self.values), 1, non_negative=True))
 
 
 @dataclass(frozen=True)
@@ -49,13 +46,11 @@ class VladDescriptor:
     w: int
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64).ravel()
+        values = finite_array("vlad values", np.ravel(self.values), 1)
         if self.k < 1 or self.w < 1:
             raise ArgumentError(f"vlad needs k >= 1 and w >= 1, got k={self.k}, w={self.w}")
         if values.size != self.k * self.w:
             raise ArgumentError(f"vlad length {values.size} != k*w = {self.k * self.w}")
-        if not np.isfinite(values).all():
-            raise ArgumentError("vlad values must be finite")
         object.__setattr__(self, "values", values)
 
 
@@ -64,12 +59,7 @@ class RaplaceDescriptor:
     spectrum: np.ndarray
 
     def __post_init__(self):
-        spectrum = np.asarray(self.spectrum, dtype=np.float64)
-        if spectrum.ndim != 2 or spectrum.size == 0:
-            raise ArgumentError(f"spectrum must be a non-empty 2-D matrix, got shape {spectrum.shape}")
-        if not np.isfinite(spectrum).all() or spectrum.min() < 0.0:
-            raise ArgumentError("spectrum must be finite and non-negative")
-        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "spectrum", finite_array("spectrum", self.spectrum, 2, non_negative=True))
 
 
 @dataclass(frozen=True)
@@ -84,10 +74,9 @@ class RaplaceConfig:
     def __post_init__(self):
         if self.width_px < 2 or self.width_px % 2 != 0:
             raise ArgumentError("width_px must be even and >= 2")
-        if self.resolution_m <= 0.0:
-            raise ArgumentError("resolution_m must be positive")
-        if not 0.0 < self.scale_pct <= 100.0:
-            raise ArgumentError("scale_pct must be in (0, 100]")
+        finite_positive("resolution_m", self.resolution_m)
+        if finite_positive("scale_pct", self.scale_pct) > 100.0:
+            raise ArgumentError(f"scale_pct must be in (0, 100], got {self.scale_pct!r}")
         if self.n_angles is not None and self.n_angles < 1:
             raise ArgumentError("n_angles must be >= 1")
 
@@ -115,13 +104,9 @@ def encode_vlad(rows, codebook: Codebook, l2_normalize: bool = False) -> VladDes
     optionally rescales the concatenated vector to unit norm (off by
     default).
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ArgumentError(f"rows must be 2-D, got shape {rows.shape}")
+    rows = finite_array("rows", rows, 2)
     if rows.shape[1] != codebook.width:
         raise ArgumentError(f"row length {rows.shape[1]} != codebook width {codebook.width}")
-    if not np.isfinite(rows).all():
-        raise ArgumentError("rows must be finite")
     sums, counts = cluster_sums(rows, nearest_centre_labels(rows, codebook), codebook.k)
     values = (sums - counts[:, None] * codebook.centres).reshape(-1)
     if l2_normalize:
@@ -134,12 +119,15 @@ def encode_vlad(rows, codebook: Codebook, l2_normalize: bool = False) -> VladDes
 def _vector_of(descriptor) -> np.ndarray:
     if isinstance(descriptor, (RingKeyDescriptor, VladDescriptor)):
         return descriptor.values
+    if isinstance(descriptor, RaplaceDescriptor):
+        raise ArgumentError("RaplaceDescriptor is compared by raplace_similarity, not by distance")
     return np.asarray(descriptor, dtype=np.float64).ravel()
 
 
 def descriptor_distance(a, b) -> float:
     """Squared Euclidean distance between two vector descriptors of one
-    class, or plain arrays; descriptors of different classes raise."""
+    class, or plain arrays; descriptors of different classes, and sinogram
+    descriptors, raise."""
     kinds = (RingKeyDescriptor, VladDescriptor, RaplaceDescriptor)
     if isinstance(a, kinds) and isinstance(b, kinds) and type(a) is not type(b):
         raise ArgumentError(f"descriptor classes differ: {type(a).__name__} vs {type(b).__name__}")
@@ -264,8 +252,12 @@ def raplace_similarity(a: RaplaceDescriptor, b: RaplaceDescriptor) -> float:
 
     Both spectra are Fourier-transformed along the angle axis, the
     conjugate product is summed over the radial axis, and the peak of the
-    real part of the inverse transform is returned.
+    real part of the inverse transform is returned. Any other descriptor
+    class raises.
     """
+    for given in (a, b):
+        if not isinstance(given, RaplaceDescriptor):
+            raise ArgumentError(f"raplace_similarity takes RaplaceDescriptor, not {type(given).__name__}")
     if a.spectrum.shape != b.spectrum.shape:
         raise ArgumentError(
             f"descriptor shapes differ: {a.spectrum.shape} vs {b.spectrum.shape}"

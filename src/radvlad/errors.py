@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two checks that
+define a valid value: ``finite_positive`` for a scalar setting and
+``finite_array`` for an array. Every container and config states its
+real-valued invariants through them. Both accept only finite values, so
+NaN, which passes a rejecting test such as ``x <= 0.0``, fails them.
+"""
+
+import math
+
+import numpy as np
 
 
 class IngestError(Exception):
@@ -11,3 +20,27 @@ class ArgumentError(ValueError):
 
 class NumericError(ValueError):
     """Numeric input is outside the domain an operation can handle."""
+
+
+def finite_positive(name: str, value, zero_ok: bool = False) -> float:
+    """``value`` as a float, if it is finite and positive (or zero, with
+    ``zero_ok``); otherwise an ``ArgumentError`` naming ``name``."""
+    value = float(value)
+    if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
+        sign = "non-negative" if zero_ok else "positive"
+        raise ArgumentError(f"{name} must be finite and {sign}, got {value!r}")
+    return value
+
+
+def finite_array(name: str, values, ndim: int, non_negative: bool = False) -> np.ndarray:
+    """``values`` as a float64 array, if it has ``ndim`` axes, at least one
+    element, and only finite (and, with ``non_negative``, no negative)
+    entries; otherwise an ``ArgumentError`` naming ``name``."""
+    array = np.asarray(values, dtype=np.float64)
+    if array.ndim != ndim or array.size == 0:
+        raise ArgumentError(f"{name} must be a non-empty {ndim}-D array, got shape {array.shape}")
+    if not np.isfinite(array).all():
+        raise ArgumentError(f"{name} must be finite")
+    if non_negative and array.min() < 0.0:
+        raise ArgumentError(f"{name} must be non-negative")
+    return array

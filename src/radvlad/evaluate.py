@@ -48,7 +48,7 @@ from .descriptors import (
     encode_vlad,
     raplace_similarity,
 )
-from .errors import ArgumentError
+from .errors import ArgumentError, finite_array, finite_positive
 from .scans import (
     PolarScan,
     Trajectory,
@@ -76,8 +76,7 @@ class GroundTruthMatrix:
         is_match = np.asarray(self.is_match, dtype=bool)
         if is_match.ndim != 2:
             raise ArgumentError("is_match must be 2-D")
-        if self.threshold_m <= 0.0:
-            raise ArgumentError("threshold_m must be positive")
+        finite_positive("threshold_m", self.threshold_m)
         object.__setattr__(self, "is_match", is_match)
 
 
@@ -88,12 +87,7 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ArgumentError("values must be 2-D")
-        if not np.isfinite(values).all():
-            raise ArgumentError("values must be finite")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", finite_array("distances", self.values, 2))
 
     @classmethod
     def from_similarity(cls, similarity) -> "DistanceMatrix":

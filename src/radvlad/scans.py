@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ._files import FrameReader, ingesting, read_csv_rows, write_csv_rows, write_frame
-from .errors import ArgumentError, IngestError
+from .errors import ArgumentError, IngestError, finite_array, finite_positive
 
 PRSN_MAGIC = b"PRSN"
 _PRSN_HEADER = "<IIdQ"
@@ -31,18 +31,8 @@ class PolarScan:
     id: str = ""
 
     def __post_init__(self):
-        power = np.asarray(self.power, dtype=np.float64)
-        if power.ndim != 2 or power.shape[0] < 1 or power.shape[1] < 1:
-            raise ArgumentError(f"power must be a 2-D matrix, got shape {power.shape}")
-        if not np.isfinite(power).all():
-            raise ArgumentError("power contains non-finite samples")
-        if power.min() < 0.0:
-            raise ArgumentError("power must be non-negative")
-        res = float(self.range_resolution_m)
-        if not np.isfinite(res) or res <= 0.0:
-            raise ArgumentError("range_resolution_m must be positive")
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "range_resolution_m", res)
+        object.__setattr__(self, "power", finite_array("power", self.power, 2, non_negative=True))
+        object.__setattr__(self, "range_resolution_m", finite_positive("range_resolution_m", self.range_resolution_m))
         object.__setattr__(self, "timestamp_ns", int(self.timestamp_ns))
 
     @property
@@ -66,15 +56,11 @@ class CartesianScan:
     resolution_m: float
 
     def __post_init__(self):
-        pixels = np.asarray(self.pixels, dtype=np.float64)
-        if pixels.ndim != 2 or pixels.shape[0] != pixels.shape[1] or pixels.shape[0] < 1:
-            raise ArgumentError(f"pixels must be a non-empty square matrix, got shape {pixels.shape}")
-        if not np.isfinite(pixels).all() or pixels.min() < 0.0:
-            raise ArgumentError("pixels must be finite and non-negative")
-        if float(self.resolution_m) <= 0.0:
-            raise ArgumentError("resolution_m must be positive")
+        pixels = finite_array("pixels", self.pixels, 2, non_negative=True)
+        if pixels.shape[0] != pixels.shape[1]:
+            raise ArgumentError(f"pixels must be a square matrix, got shape {pixels.shape}")
         object.__setattr__(self, "pixels", pixels)
-        object.__setattr__(self, "resolution_m", float(self.resolution_m))
+        object.__setattr__(self, "resolution_m", finite_positive("resolution_m", self.resolution_m))
 
     @property
     def width_px(self) -> int:
@@ -144,8 +130,7 @@ class RasterLayoutConfig:
             raise ArgumentError("invalid raster layout dimensions")
         if self.sample_encoding not in SAMPLE_ENCODINGS:
             raise ArgumentError(f"sample_encoding must be one of {SAMPLE_ENCODINGS}")
-        if self.range_resolution_m <= 0.0:
-            raise ArgumentError("range_resolution_m must be positive")
+        finite_positive("range_resolution_m", self.range_resolution_m)
 
 
 def load_polar_scan(path, layout: RasterLayoutConfig) -> PolarScan:
@@ -303,8 +288,7 @@ def polar_to_cartesian(scan: PolarScan, width_px: int, resolution_m: float) -> C
     """
     if width_px < 2 or width_px % 2 != 0:
         raise ArgumentError(f"width_px must be even and >= 2, got {width_px}")
-    if resolution_m <= 0.0:
-        raise ArgumentError("resolution_m must be positive")
+    resolution_m = finite_positive("resolution_m", resolution_m)
     n_az, n_bins = scan.power.shape
     centre = (width_px - 1) / 2.0
     iy, ix = np.mgrid[0:width_px, 0:width_px]
@@ -333,4 +317,4 @@ def polar_to_cartesian(scan: PolarScan, width_px: int, resolution_m: float) -> C
         + fa * (1.0 - fr) * np.where(in0, p[a1, r0c], 0.0)
         + fa * fr * np.where(in1, p[a1, r1c], 0.0)
     )
-    return CartesianScan(pixels=pixels, resolution_m=float(resolution_m))
+    return CartesianScan(pixels=pixels, resolution_m=resolution_m)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, NumericError
+from .errors import ArgumentError, NumericError, finite_array
 from .scans import PolarScan
 
 _SQRT2 = np.sqrt(2.0)
@@ -27,12 +27,7 @@ class SpectralScan:
     magnitude: np.ndarray
 
     def __post_init__(self):
-        mag = np.asarray(self.magnitude, dtype=np.float64)
-        if mag.ndim != 2 or mag.size == 0:
-            raise ArgumentError(f"magnitude must be a non-empty 2-D matrix, got shape {mag.shape}")
-        if not np.isfinite(mag).all() or mag.min() < 0.0:
-            raise ArgumentError("magnitude must be finite and non-negative")
-        object.__setattr__(self, "magnitude", mag)
+        object.__setattr__(self, "magnitude", finite_array("magnitude", self.magnitude, 2, non_negative=True))
 
     @property
     def azimuth_count(self) -> int:

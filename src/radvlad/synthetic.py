@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._files import ingesting, read_csv_rows, write_csv_rows
-from .errors import ArgumentError
+from .errors import ArgumentError, finite_positive
 from .scans import PolarScan, Trajectory, TrajectoryPoses
 
 # Offset between per-place scene seeds inside a world; worlds with seeds
@@ -35,6 +35,7 @@ class ReflectorScene:
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=np.float64).reshape(-1, 2)
         inten = np.asarray(self.intensities, dtype=np.float64).ravel()
+        object.__setattr__(self, "extent_m", finite_positive("extent_m", self.extent_m))
         if pos.shape[0] != inten.shape[0]:
             raise ArgumentError("positions and intensities must have equal lengths")
         if not np.isfinite(pos).all():
@@ -65,14 +66,13 @@ def generate_scene(n_reflectors: int, extent_m: float, seed: int) -> ReflectorSc
     """Draw reflectors uniformly in the square, intensities in (0, 1]."""
     if n_reflectors < 0:
         raise ArgumentError("n_reflectors must be >= 0")
-    if extent_m <= 0.0:
-        raise ArgumentError("extent_m must be positive")
+    extent_m = finite_positive("extent_m", extent_m)
     if seed < 0:
         raise ArgumentError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     positions = rng.uniform(-extent_m, extent_m, size=(n_reflectors, 2))
     intensities = 1.0 - rng.uniform(0.0, 1.0, size=n_reflectors)
-    return ReflectorScene(positions, intensities, float(extent_m), seed)
+    return ReflectorScene(positions, intensities, extent_m, seed)
 
 
 def render_polar(
@@ -96,9 +96,9 @@ def render_polar(
     """
     if n_azimuths < 1 or n_bins < 1:
         raise ArgumentError("n_azimuths and n_bins must be >= 1")
-    if max_range_m <= 0.0 or beam_sigma_bins <= 0.0 or noise_sigma < 0.0:
-        raise ArgumentError("invalid render parameters")
-    resolution = max_range_m / n_bins
+    resolution = finite_positive("max_range_m", max_range_m) / n_bins
+    beam_sigma_bins = finite_positive("beam_sigma_bins", beam_sigma_bins)
+    noise_sigma = finite_positive("noise_sigma", noise_sigma, zero_ok=True)
     power = np.zeros((n_azimuths, n_bins))
     window = int(np.ceil(6.0 * beam_sigma_bins))
 
@@ -231,7 +231,8 @@ class PlaceWorld:
 
     def translated_query_trajectory(self, min_m: float, max_m: float, seed: int) -> Trajectory:
         """One query per place, offset by a random 2-D shift of |t| in [min_m, max_m]."""
-        if not 0.0 <= min_m <= max_m:
+        low, high = (finite_positive("translation bounds", bound, zero_ok=True) for bound in (min_m, max_m))
+        if low > high:
             raise ArgumentError(f"translation bounds must satisfy 0 <= min <= max, got {min_m} and {max_m}")
         rng = np.random.default_rng(seed)
         places, poses = [], []

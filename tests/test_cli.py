@@ -422,6 +422,66 @@ def test_bad_synth_world_exits_1_without_traceback(tmp_path, capsys, flags, word
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, setting",
+    [
+        (["localize", "--method", "raplace", "--raplace-resolution-m", "nan"], "resolution_m"),
+        (["localize", "--threshold-m", "nan"], "threshold_m"),
+        (["localize", "--kmeans-tol", "nan", "--kmeans-max-iter", "3"], "kmeans_tol"),
+        (["synth", "--scenario", "rotation", "--beam-sigma", "nan"], "beam_sigma"),
+        (["synth", "--scenario", "rotation", "--beam-sigma", "inf"], "beam_sigma"),
+        (["synth", "--scenario", "rotation", "--max-range", "nan"], "max_range"),
+        (["synth", "--scenario", "rotation", "--noise-sigma", "nan"], "noise_sigma"),
+        (["synth", "--scenario", "translation", "--translate-max", "inf"], "translation bounds"),
+        (["ingest", "--range-resolution", "nan"], "range_resolution_m"),
+    ],
+    ids=[
+        "raplace_resolution_nan", "threshold_nan", "kmeans_tol_nan", "beam_sigma_nan", "beam_sigma_inf",
+        "max_range_nan", "noise_sigma_nan", "translate_max_inf", "range_resolution_nan",
+    ],
+)
+def test_non_finite_setting_exits_1_naming_it(synth_pair, raw_source, tmp_path, capsys, argv, setting):
+    query, ref = synth_pair
+    out = tmp_path / "out"
+    command, *flags = argv
+    context = {
+        "localize": ["--query", str(query), "--ref", str(ref), *SYNTH_CFG_FLAGS],
+        "synth": ["--places", "2", "--trials", "2", "--bins", "64"],
+        "ingest": ["--src", str(raw_source), "--rows", "8", "--bins", "16"],
+    }[command]
+    assert main([command, "--out", str(out), *context, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"radvlad {command}: ") and setting in err and "must be finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, env",
+    [(["--jobs", "-3"], None), (["--jobs", "0"], None), ([], "abc"), ([], "0"), ([], "-2")],
+    ids=["flag_negative", "flag_zero", "env_not_a_number", "env_zero", "env_negative"],
+)
+def test_jobs_below_1_is_a_usage_error_naming_flag_and_variable(synth_pair, tmp_path, capsys, monkeypatch, flag, env):
+    query, ref = synth_pair
+    if env is not None:
+        monkeypatch.setenv("RADVLAD_JOBS", env)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["localize", "--query", str(query), "--ref", str(ref), "--out", str(out), *SYNTH_CFG_FLAGS, *flag])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --jobs" in err and "RADVLAD_JOBS" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_jobs_default_comes_from_the_environment(monkeypatch):
+    monkeypatch.setenv("RADVLAD_JOBS", "3")
+    assert build_parser().parse_args(["synth", "--scenario", "self", "--out", "x"]).jobs == 3
+    monkeypatch.setenv("RADVLAD_JOBS", "")
+    assert build_parser().parse_args(["synth", "--scenario", "self", "--out", "x"]).jobs == 1
+    assert build_parser().parse_args(["synth", "--scenario", "self", "--out", "x", "--jobs", "2"]).jobs == 2
+
+
 def test_parser_lists_all_subcommands():
     parser = build_parser()
     actions = [a for a in parser._actions if hasattr(a, "choices") and a.choices]

@@ -1,6 +1,26 @@
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
-from radvlad import ArgumentError, RunConfig, build_run_config, parse_config_file
+from radvlad import (
+    ArgumentError,
+    CartesianScan,
+    Codebook,
+    GroundTruthMatrix,
+    PolarScan,
+    RaplaceConfig,
+    RasterLayoutConfig,
+    ReflectorScene,
+    RunConfig,
+    SensorPose,
+    build_run_config,
+    fit_kmeans_pp,
+    generate_scene,
+    parse_config_file,
+    polar_to_cartesian,
+    render_polar,
+)
 
 
 class TestDefaults:
@@ -77,3 +97,45 @@ class TestConfigFile:
     def test_raplace_n_angles_override(self):
         cfg = build_run_config({"raplace.n_angles": "48"})
         assert cfg.raplace.angles == 48
+
+
+class TestValidValues:
+    """Every real-valued setting is finite, whatever its sign rule; NaN
+    fails every comparison, so a check written as ``x <= 0.0`` passes it."""
+
+    @pytest.mark.parametrize(
+        "config, required",
+        [(RunConfig, {}), (RaplaceConfig, {}), (RasterLayoutConfig, {"rows": 1, "header_bytes_per_row": 0, "payload_bins": 1})],
+        ids=["RunConfig", "RaplaceConfig", "RasterLayoutConfig"],
+    )
+    def test_every_float_field_rejects_nan_and_infinities(self, config, required):
+        float_fields = [f.name for f in fields(config) if f.type in ("float", float)]
+        assert float_fields
+        for name in float_fields:
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ArgumentError, match=name):
+                    config(**required, **{name: value})
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda bad: polar_to_cartesian(PolarScan(np.ones((4, 8)), 1.0), 8, bad),
+            lambda bad: CartesianScan(np.zeros((2, 2)), bad),
+            lambda bad: fit_kmeans_pp(np.random.default_rng(0).random((6, 2)), 2, tol=bad, max_iter=3),
+            lambda bad: Codebook(np.eye(2), bad, 0),
+            lambda bad: GroundTruthMatrix(np.ones((1, 1), dtype=bool), bad),
+            lambda bad: generate_scene(0, bad, 0),
+            lambda bad: ReflectorScene(np.zeros((0, 2)), np.zeros(0), bad),
+            lambda bad: render_polar(generate_scene(3, 10.0, 0), SensorPose(0.0, 0.0), max_range_m=bad),
+            lambda bad: render_polar(generate_scene(3, 10.0, 0), SensorPose(0.0, 0.0), beam_sigma_bins=bad),
+            lambda bad: render_polar(generate_scene(3, 10.0, 0), SensorPose(0.0, 0.0), noise_sigma=bad),
+        ],
+        ids=[
+            "polar_to_cartesian", "cartesian_scan", "kmeans_tol", "codebook_inertia", "ground_truth_threshold",
+            "scene_extent", "reflector_scene_extent", "max_range", "beam_sigma", "noise_sigma",
+        ],
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_scalar_guards_reject_nan_and_infinity(self, make, bad):
+        with pytest.raises(ArgumentError, match="must be finite"):
+            make(bad)

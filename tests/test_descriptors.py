@@ -10,6 +10,7 @@ from radvlad import (
     ArgumentError,
     CartesianScan,
     Codebook,
+    DistanceMatrix,
     IngestError,
     PolarScan,
     RaplaceConfig,
@@ -173,6 +174,12 @@ class TestDescriptorDistance:
             with pytest.raises(ArgumentError, match="RingKeyDescriptor"):
                 descriptor_distance(a, b)
         assert descriptor_distance(ring_key, np.zeros(8)) == descriptor_distance(np.zeros(8), vlad.values + 1) == 8.0
+
+    def test_sinogram_descriptors_raise(self):
+        spectrum = RaplaceDescriptor(np.ones((2, 3)))
+        for a, b in ((spectrum, spectrum), (spectrum, np.ones(6)), (np.ones(6), spectrum)):
+            with pytest.raises(ArgumentError, match="raplace_similarity"):
+                descriptor_distance(a, b)
 
 
 class TestRadonSinogram:
@@ -348,6 +355,12 @@ class TestRaplaceSimilarity:
         with pytest.raises(ArgumentError):
             raplace_similarity(RaplaceDescriptor(np.zeros((4, 4))), RaplaceDescriptor(np.zeros((4, 5))))
 
+    def test_vector_descriptors_raise(self):
+        spectrum, vlad = RaplaceDescriptor(np.ones((2, 4))), VladDescriptor(np.ones(8), 2, 4)
+        for a, b in ((vlad, vlad), (spectrum, vlad), (vlad, spectrum), (RingKeyDescriptor(np.ones(8)), spectrum)):
+            with pytest.raises(ArgumentError, match="RaplaceDescriptor"):
+                raplace_similarity(a, b)
+
 
 class TestDescriptorFiles:
     def test_ring_key_roundtrip(self, tmp_path):
@@ -415,8 +428,11 @@ class TestDescriptorFiles:
         lambda: SpectralScan(np.zeros((0, 3))),
         lambda: RingKeyDescriptor(np.zeros(0)),
         lambda: VladDescriptor(np.zeros(0), k=0, w=5),
+        lambda: Codebook(np.zeros((3, 0)), 0.0, 0),
+        lambda: encode_vlad(np.zeros((0, 2)), Codebook(np.eye(2), 0.0, 0)),
+        lambda: DistanceMatrix(np.zeros((0, 3))),
     ],
-    ids=["raplace", "cartesian", "spectral", "ring_key", "vlad"],
+    ids=["raplace", "cartesian", "spectral", "ring_key", "vlad", "zero_width_codebook", "vlad_of_no_rows", "distances"],
 )
 def test_zero_size_container_rejected(make):
     with pytest.raises(ArgumentError):

@@ -218,8 +218,9 @@ class TestDistanceMatrixIO:
             ("truncated.dmat", lambda buf: buf[:-2]),
             ("cut_in_header.dmat", lambda buf: buf[:6]),
             ("nan.dmat", lambda buf: buf[:-4] + np.array([np.nan], dtype="<f4").tobytes()),
+            ("empty.dmat", lambda buf: buf[:4] + np.array([0, 3], dtype="<u4").tobytes()),
         ],
-        ids=["bad_magic", "truncated", "cut_in_header", "nan"],
+        ids=["bad_magic", "truncated", "cut_in_header", "nan", "empty"],
     )
     def test_malformed_file_rejected_naming_the_file(self, tmp_path, name, damage):
         path = tmp_path / name
