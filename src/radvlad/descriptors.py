@@ -64,7 +64,8 @@ class RaplaceDescriptor:
 
 @dataclass(frozen=True)
 class RaplaceConfig:
-    """Settings of the sinogram-spectrum encoder."""
+    """Settings of the sinogram-spectrum encoder; errors name each by its
+    config key (``raplace.width_px``)."""
 
     width_px: int = 256
     resolution_m: float = 1.2717
@@ -73,12 +74,12 @@ class RaplaceConfig:
 
     def __post_init__(self):
         if self.width_px < 2 or self.width_px % 2 != 0:
-            raise ArgumentError("width_px must be even and >= 2")
-        finite_positive("resolution_m", self.resolution_m)
-        if finite_positive("scale_pct", self.scale_pct) > 100.0:
-            raise ArgumentError(f"scale_pct must be in (0, 100], got {self.scale_pct!r}")
+            raise ArgumentError(f"raplace.width_px must be even and >= 2, got {self.width_px!r}")
+        finite_positive("raplace.resolution_m", self.resolution_m)
+        if finite_positive("raplace.scale_pct", self.scale_pct) > 100.0:
+            raise ArgumentError(f"raplace.scale_pct must be in (0, 100], got {self.scale_pct!r}")
         if self.n_angles is not None and self.n_angles < 1:
-            raise ArgumentError("n_angles must be >= 1")
+            raise ArgumentError(f"raplace.n_angles must be >= 1, got {self.n_angles!r}")
 
     @property
     def angles(self) -> int:

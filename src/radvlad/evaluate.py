@@ -203,7 +203,8 @@ class Method:
     ``rows`` a residual method clusters and aggregates (``width`` columns;
     None for the methods without a codebook), ``fit``, the per-scan
     ``encode``, the ``descriptor_class`` and ``field`` a ``PlaceMap``
-    stacks, the map kernel ``match`` and the descriptor-pair ``compare``.
+    stacks, whether it ``folds`` them, the map kernel ``match`` and the
+    descriptor-pair ``compare``.
     ``cfg`` defaults to the method's ``RunConfig``. The stages it runs are
     looked up in this module's globals when they run, not when it is built.
     """
@@ -213,7 +214,7 @@ class Method:
             raise ArgumentError(f"method must be one of {METHODS}, got {name!r}")
         cfg = cfg if cfg is not None else RunConfig(method=name)
         self.name, self.cfg, self.codebook = name, cfg, codebook
-        self.descriptor_class, self.field = VladDescriptor, "values"
+        self.descriptor_class, self.field, self.folds = VladDescriptor, "values", False
         self.match, self.compare = _sq_distance_matrix, descriptor_distance
         self.rows, self.width, self.encode = None, cfg.target_bins, self._needs_codebook
         # The encoders capture locals, not self, so a method that can encode
@@ -233,7 +234,7 @@ class Method:
             self.rows = rows = lambda scan: fold_half_spectrum(
                 radial_fft_magnitude(preprocess_scan(scan, cfg)).magnitude
             )
-            self.width = cfg.target_bins // 2 + 1
+            self.width, self.folds = cfg.target_bins // 2 + 1, True
             if codebook is not None:
                 self.encode = _folded_encoder(rows, codebook, cfg)
 
@@ -261,15 +262,42 @@ class Method:
         cfg = self.cfg
         rows = self.training_rows(scans)
         codebook = fit_kmeans_pp(rows, cfg.k, tol=cfg.kmeans_tol, seed=cfg.kmeans_seed, max_iter=cfg.kmeans_max_iter)
-        if self.name == METHOD_FFT_RADVLAD:
+        if self.folds:
             codebook = dc_replace(codebook, centres=unfold_half_spectrum(codebook.centres, cfg.target_bins))
         return Method(self.name, cfg, codebook)
 
     def array_of(self, descriptor) -> np.ndarray:
-        """The array a map stacks of ``descriptor``, which must be of this method's class."""
+        """The row a map stacks of ``descriptor``, which must be of this
+        method's class: its array, or, when the method ``folds``, each of
+        its k sections folded onto its W//2+1 leading columns. The fold
+        keeps every distance only between mirror-symmetric sections, so
+        other sections are an ``ArgumentError``."""
         if not isinstance(descriptor, self.descriptor_class):
             raise ArgumentError(f"{self.name} takes {self.descriptor_class.__name__}, not {type(descriptor).__name__}")
-        return getattr(descriptor, self.field)
+        array = getattr(descriptor, self.field)
+        if not self.folds:
+            return array
+        sections = array.reshape(descriptor.k, descriptor.w)
+        if not is_mirror_symmetric(sections):
+            raise ArgumentError(f"{self.name} takes descriptors whose sections are mirror-symmetric")
+        return fold_half_spectrum(sections).reshape(-1)
+
+    def layout_of(self, descriptor) -> tuple:
+        """What the descriptors of one map share: a ``VladDescriptor``'s
+        (k, w), or the shape of another descriptor's array."""
+        if self.descriptor_class is VladDescriptor:
+            return descriptor.k, descriptor.w
+        return getattr(descriptor, self.field).shape
+
+    def descriptor_of(self, row: np.ndarray, layout: tuple):
+        """The descriptor of ``layout`` whose ``array_of`` is the read-only
+        ``row``; its array is read-only too."""
+        if self.descriptor_class is not VladDescriptor:
+            return self.descriptor_class(row)
+        k, w = layout
+        if self.folds:
+            row = _frozen(unfold_half_spectrum(row.reshape(k, -1), w).reshape(-1))
+        return VladDescriptor(row, k, w)
 
 
 def _folded_encoder(rows, codebook: Codebook, cfg: RunConfig):
@@ -301,12 +329,13 @@ class PlaceMap(Sequence):
     """Encoded places of one run, held once with what matching reuses.
 
     A sequence of one method's descriptors; ``method`` is that ``Method``,
-    or its name. The descriptors' arrays are copied, as they arrive, into
-    one contiguous read-only float64 ``stack`` and each descriptor is
-    re-pointed at its row, so the map holds a single copy and writing to a
-    descriptor raises instead of leaving a cache stale. Matching reads
-    every row's squared norm (``sq_norms``), or for ``raplace`` every
-    spectrum's conjugated angle-axis FFT (``fft_conj``) and Frobenius norm
+    or its name. Each descriptor's row (``Method.array_of``) is copied, as
+    it arrives, into one contiguous read-only float64 ``stack``, which is
+    all the map keeps of it: an ``fft_radvlad`` map holds folded sections,
+    half its descriptors' bytes. The descriptors share one ``layout``, and
+    indexing rebuilds each, read-only, from its row. Matching reads every
+    row's squared norm (``sq_norms``), or for ``raplace`` every spectrum's
+    conjugated angle-axis FFT (``fft_conj``) and Frobenius norm
     (``norms``); each is computed on first use and kept.
     """
 
@@ -317,27 +346,29 @@ class PlaceMap(Sequence):
             count = len(descriptors)
         if count < 1:
             raise ArgumentError("a map needs at least one descriptor")
-        stack = None
-        placed = []
-        for i, descriptor in enumerate(descriptors):
-            array = self.method.array_of(descriptor)
+        stack = self.layout = None
+        placed = 0
+        for descriptor in descriptors:
+            row = self.method.array_of(descriptor)
             if stack is None:
-                stack = np.empty((count, *array.shape))
-            elif i >= count or array.shape != stack.shape[1:]:
-                raise ArgumentError(f"descriptor {i} does not fit a map of {count} x {stack.shape[1:]}")
-            stack[i] = array
-            # A view keeps its own write flag, so freezing the stack later would not cover it.
-            placed.append(dc_replace(descriptor, **{self.method.field: _frozen(stack[i])}))
-        if len(placed) != count:
-            raise ArgumentError(f"expected {count} descriptors, got {len(placed)}")
+                self.layout = self.method.layout_of(descriptor)
+                stack = np.empty((count, *row.shape))
+            elif placed >= count or self.method.layout_of(descriptor) != self.layout:
+                raise ArgumentError(f"descriptor {placed} does not fit a map of {count} x {self.layout}")
+            stack[placed] = row
+            placed += 1
+        if placed != count:
+            raise ArgumentError(f"expected {count} descriptors, got {placed}")
         self.stack = _frozen(stack)
-        self._descriptors = tuple(placed)
 
     def __len__(self) -> int:
-        return len(self._descriptors)
+        return len(self.stack)
 
     def __getitem__(self, index):
-        return self._descriptors[index]
+        rows = range(len(self))[index]
+        if isinstance(rows, range):
+            return tuple(self[i] for i in rows)
+        return self.method.descriptor_of(self.stack[rows], self.layout)
 
     @functools.cached_property
     def sq_norms(self) -> np.ndarray:
@@ -390,20 +421,21 @@ def _raplace_distance_matrix(queries: np.ndarray, refs: PlaceMap) -> DistanceMat
 def distance_matrix_from_descriptors(method: str, query_descs, ref_descs) -> DistanceMatrix:
     """Queries-by-references distances under ``method``. The references are
     matched as a ``PlaceMap``, built here from a plain sequence of
-    descriptors; the queries are stacked, or a query ``PlaceMap``'s stack is
-    taken as is. A map of another method, or a descriptor not of the
-    method's class, is an ``ArgumentError``."""
-    refs = ref_descs if isinstance(ref_descs, PlaceMap) else PlaceMap(method, ref_descs)
-    for given in (refs, query_descs):
+    descriptors; the queries' rows (``Method.array_of``) are stacked, or a
+    query ``PlaceMap``'s stack is taken as is. A map of another method, or a
+    descriptor not of the method's class or the map's layout, is an
+    ``ArgumentError``."""
+    for given in (ref_descs, query_descs):
         if isinstance(given, PlaceMap) and given.method.name != method:
             raise ArgumentError(f"cannot match by {method}: given a {given.method.name} map")
+    refs = ref_descs if isinstance(ref_descs, PlaceMap) else PlaceMap(method, ref_descs)
     if isinstance(query_descs, PlaceMap):
-        queries = query_descs.stack
+        queries, layouts = query_descs.stack, {query_descs.layout}
     else:
         queries = [refs.method.array_of(descriptor) for descriptor in query_descs]
-    shape = refs.stack.shape[1:]
-    if len(queries) == 0 or any(query.shape != shape for query in queries):
-        raise ArgumentError(f"queries must be one or more descriptors of the reference shape {shape}")
+        layouts = {refs.method.layout_of(descriptor) for descriptor in query_descs}
+    if layouts != {refs.layout}:
+        raise ArgumentError(f"queries must be one or more descriptors of the reference layout {refs.layout}")
     return refs.method.match(np.asarray(queries), refs)
 
 

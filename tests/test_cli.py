@@ -425,7 +425,7 @@ def test_bad_synth_world_exits_1_without_traceback(tmp_path, capsys, flags, word
 @pytest.mark.parametrize(
     "argv, setting",
     [
-        (["localize", "--method", "raplace", "--raplace-resolution-m", "nan"], "resolution_m"),
+        (["localize", "--method", "raplace", "--raplace-resolution-m", "nan"], "raplace.resolution_m"),
         (["localize", "--threshold-m", "nan"], "threshold_m"),
         (["localize", "--kmeans-tol", "nan", "--kmeans-max-iter", "3"], "kmeans_tol"),
         (["synth", "--scenario", "rotation", "--beam-sigma", "nan"], "beam_sigma"),
@@ -452,6 +452,26 @@ def test_non_finite_setting_exits_1_naming_it(synth_pair, raw_source, tmp_path, 
     assert main([command, "--out", str(out), *context, *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"radvlad {command}: ") and setting in err and "must be finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--raplace-width-px", "3"], "raplace.width_px"),
+        (["--raplace-scale-pct", "200"], "raplace.scale_pct"),
+        (["--raplace-n-angles", "0"], "raplace.n_angles"),
+    ],
+    ids=["width_px_odd", "scale_pct_above_100", "n_angles_zero"],
+)
+def test_bad_raplace_setting_exits_1_naming_its_config_key(synth_pair, tmp_path, capsys, flags, key):
+    query, ref = synth_pair
+    out = tmp_path / "out"
+    argv = ["localize", "--query", str(query), "--ref", str(ref), "--out", str(out), "--method", "raplace"]
+    assert main([*argv, *SYNTH_CFG_FLAGS, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("radvlad localize: ") and key in err
     assert "Traceback" not in err
     assert not out.exists()
 

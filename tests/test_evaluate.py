@@ -303,6 +303,10 @@ def _one_by_one(scans, method, cfg, codebook):
     return [encode_trajectory([scan], method, cfg, codebook)[0] for scan in scans]
 
 
+def _array(descriptor):
+    return descriptor.spectrum if isinstance(descriptor, RaplaceDescriptor) else descriptor.values
+
+
 class TestPlaceMap:
     @pytest.mark.parametrize("seed", [0, 7, 31])
     @pytest.mark.parametrize("method", METHOD_NAMES)
@@ -343,6 +347,50 @@ class TestPlaceMap:
             array[0] = 1.0
         with pytest.raises(ValueError):
             place_map.stack[0] = 1.0
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_only_fft_radvlad_stacks_folded_sections(self, method):
+        ref_scans, _, cfg, codebook = _map_inputs(method, 0)
+        place_map = encode_trajectory(ref_scans, method, cfg, codebook)
+        width = cfg.target_bins
+        row_shape = {
+            "ringkey": (width,),
+            "raplace": _array(place_map[0]).shape,
+            "radvlad": (cfg.k * width,),
+            "fft_radvlad": (cfg.k * (width // 2 + 1),),
+        }[method]
+        assert place_map.stack.shape == (len(ref_scans), *row_shape)
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_map_hands_out_the_encoders_descriptors_read_only(self, method):
+        ref_scans, _, cfg, codebook = _map_inputs(method, 0)
+        place_map = encode_trajectory(ref_scans, method, cfg, codebook)
+        encode = Method(method, cfg, codebook).encode
+        for scan, got in zip(ref_scans, place_map, strict=True):
+            want = encode(scan)
+            assert type(got) is type(want) and _array(got).shape == _array(want).shape
+            if method in ("radvlad", "fft_radvlad"):
+                assert (got.k, got.w) == (want.k, want.w)
+            assert np.abs(_array(got) - _array(want)).max() <= 2.5e-16 * np.abs(_array(want)).max()
+            with pytest.raises(ValueError):
+                _array(got)[0] = 1.0
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_map_indexes_as_a_tuple_does(self, method):
+        ref_scans, _, cfg, codebook = _map_inputs(method, 0)
+        place_map = encode_trajectory(ref_scans, method, cfg, codebook)
+        places = tuple(place_map)
+        assert len(places) == len(place_map) == len(ref_scans)
+        assert np.array_equal(_array(place_map[-1]), _array(places[-1]))
+        assert np.array_equal(_array(place_map[len(place_map) - 1]), _array(places[-1]))
+        window = place_map[1:3]
+        assert isinstance(window, tuple) and len(window) == len(places[1:3]) == 2
+        for got, want in zip(window, places[1:3]):
+            assert np.array_equal(_array(got), _array(want))
+        assert place_map[10:] == places[10:] == ()
+        for index in (len(place_map), -len(place_map) - 1):
+            with pytest.raises(IndexError):
+                place_map[index]
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_map_matrix_is_independent_of_jobs(self, method):
@@ -460,6 +508,19 @@ class TestFoldedSpectra:
             want = encode_vlad(rows, codebook, l2_normalize=l2_normalize).values
             assert (desc.k, desc.w) == (codebook.k, codebook.width)
             assert np.abs(desc.values - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_non_mirror_symmetric_descriptors_raise(self, fitted):
+        scans, cfg, _, codebook = fitted
+        place_map = encode_trajectory(scans, "fft_radvlad", cfg, codebook)
+        good = list(place_map)
+        values = good[0].values.copy()
+        values[cfg.target_bins - 1] += 1.0  # column W-1 of section 0 no longer mirrors column 1
+        skewed = VladDescriptor(values, good[0].k, good[0].w)
+        for queries, refs in (([skewed], place_map), ([skewed], good), (good[:1], [skewed, *good[1:]])):
+            with pytest.raises(ArgumentError, match="mirror-symmetric"):
+                distance_matrix_from_descriptors("fft_radvlad", queries, refs)
+        with pytest.raises(ArgumentError, match="mirror-symmetric"):
+            PlaceMap("fft_radvlad", [*good[1:], skewed])
 
     def test_encoder_rejects_centres_that_are_not_spectra(self, fitted):
         scans, cfg, _, codebook = fitted

@@ -12,6 +12,7 @@ import scipy.sparse  # noqa: F401  the sinogram imports it on first use; not an 
 
 from radvlad import CartesianScan, VladDescriptor, descriptors, fit_kmeans_pp, radon_sinogram
 from radvlad.evaluate import PlaceMap
+from radvlad.spectral import unfold_half_spectrum
 
 
 def traced_peak_bytes(fn):
@@ -27,12 +28,18 @@ def traced_peak_bytes(fn):
 
 
 def test_place_map_holds_its_stack_about_once():
+    # Mirror-symmetric sections, as radial spectra have, which the map
+    # stacks folded: half the descriptors' bytes, held once.
     k, width, count = 16, 512, 128
     rng = np.random.default_rng(0)
-    descriptors = [VladDescriptor(rng.standard_normal(k * width), k, width) for _ in range(count)]
+    descriptors = [
+        VladDescriptor(unfold_half_spectrum(rng.standard_normal((k, width // 2 + 1)), width), k, width)
+        for _ in range(count)
+    ]
+    full_width_bytes = count * k * width * 8
     place_map, peak = traced_peak_bytes(lambda: PlaceMap("fft_radvlad", descriptors))
-    assert place_map.stack.nbytes == count * k * width * 8
-    assert peak < 1.25 * place_map.stack.nbytes
+    assert place_map.stack.nbytes == count * k * (width // 2 + 1) * 8
+    assert peak < 0.65 * full_width_bytes
 
 
 def test_codebook_fit_makes_no_second_copy_of_its_input():
