@@ -69,21 +69,32 @@ def sq_norms(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def pairwise_sq_dist(a: np.ndarray, b: np.ndarray, a_sq=None, b_sq=None) -> np.ndarray:
+def pairwise_sq_dist(a: np.ndarray, b: np.ndarray, a_sq=None, b_sq=None, spans=None) -> np.ndarray:
     """Squared Euclidean distance between every row of ``a`` and of ``b``.
 
     Expanded as |a|^2 - 2 a.b + |b|^2 so that one matrix product does the
     work; ``a_sq`` and ``b_sq`` are the rows' ``sq_norms`` when the caller
     already holds them. Entries that rounding pushes below zero are
     clamped to zero.
+
+    ``spans``, when given, lists the column ranges ``(lo, hi)``, in order
+    and disjoint, outside which every row of ``a`` is zero: a.b is then
+    the sum of one product per span over column views of ``a`` and ``b``,
+    and the other columns of ``b`` are never read. One span over every
+    column gives the single product's bits; no span gives a.b = 0.
     """
     if a_sq is None:
         a_sq = sq_norms(a)
     if b_sq is None:
         b_sq = sq_norms(b)
+    if spans is None:
+        d2 = a @ b.T
+    else:
+        d2 = np.zeros((a.shape[0], b.shape[0]))
+        for lo, hi in spans:
+            d2 += a[:, lo:hi] @ b[:, lo:hi].T
     # Scaling the product, not ``a``, gives the same bits without an
     # a-sized temporary.
-    d2 = a @ b.T
     d2 *= -2.0
     d2 += a_sq[:, None]
     d2 += b_sq[None, :]

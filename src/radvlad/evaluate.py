@@ -399,7 +399,24 @@ def encode_trajectory(scans, method: str, cfg: RunConfig, codebook: Codebook | N
 
 
 def _sq_distance_matrix(queries: np.ndarray, refs: PlaceMap) -> DistanceMatrix:
-    return DistanceMatrix(pairwise_sq_dist(queries, refs.stack, b_sq=refs.sq_norms))
+    """Squared distances of every query row to every map row, reading only
+    the map columns of the sections some query fills (``_live_spans``): a
+    ``VladDescriptor`` row holds k sections, any other row one. A dead
+    section adds nothing to q.m, and its |m|^2 is inside the cached
+    full-row ``sq_norms``, so the expansion stays exact."""
+    sections = refs.layout[0] if refs.method.descriptor_class is VladDescriptor else 1
+    spans = _live_spans(queries, sections)
+    return DistanceMatrix(pairwise_sq_dist(queries, refs.stack, b_sq=refs.sq_norms, spans=spans))
+
+
+def _live_spans(rows: np.ndarray, sections: int) -> list:
+    """Column ranges ``(lo, hi)`` of the runs of consecutive live sections
+    of ``rows``, each row being ``sections`` sections of equal width; a
+    section is live when it is non-zero in some row."""
+    live = np.zeros(sections + 2, dtype=bool)  # padded with a dead section at each end
+    live[1:-1] = rows.reshape(len(rows), sections, -1).any(axis=(0, 2))
+    edges = (np.flatnonzero(live[1:] != live[:-1]) * (rows.shape[1] // sections)).tolist()
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def _raplace_distance_matrix(queries: np.ndarray, refs: PlaceMap) -> DistanceMatrix:
@@ -432,8 +449,10 @@ def distance_matrix_from_descriptors(method: str, query_descs, ref_descs) -> Dis
     if isinstance(query_descs, PlaceMap):
         queries, layouts = query_descs.stack, {query_descs.layout}
     else:
-        queries = [refs.method.array_of(descriptor) for descriptor in query_descs]
-        layouts = {refs.method.layout_of(descriptor) for descriptor in query_descs}
+        queries, layouts = [], set()
+        for descriptor in query_descs:  # walked once, so any iterable will do
+            queries.append(refs.method.array_of(descriptor))
+            layouts.add(refs.method.layout_of(descriptor))
     if layouts != {refs.layout}:
         raise ArgumentError(f"queries must be one or more descriptors of the reference layout {refs.layout}")
     return refs.method.match(np.asarray(queries), refs)

@@ -196,6 +196,24 @@ class TestPairwiseSqDist:
         expanded = a_sq[:, None] - 2.0 * a @ b.T + b_sq[None, :]
         assert np.array_equal(pairwise_sq_dist(a, b, a_sq, b_sq), np.maximum(expanded, 0.0))
 
+    def test_spans_read_only_their_columns_of_b(self):
+        rng = np.random.default_rng(9)
+        a, b = rng.standard_normal((3, 40)), rng.standard_normal((6, 40))
+        spans = [(0, 5), (12, 20), (35, 40)]
+        outside = np.ones(40, bool)
+        for lo, hi in spans:
+            outside[lo:hi] = False
+        a[:, outside] = 0.0
+        a_sq, b_sq = sq_norms(a), sq_norms(b)
+        want = pairwise_sq_dist(a, b, a_sq, b_sq)
+        poisoned = b.copy()
+        poisoned[:, outside] = np.nan
+        got = pairwise_sq_dist(a, poisoned, a_sq, b_sq, spans=spans)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert np.array_equal(pairwise_sq_dist(a, b, a_sq, b_sq, spans=[(0, 40)]), want)
+        zero = np.zeros((2, 40))
+        assert np.array_equal(pairwise_sq_dist(zero, poisoned, b_sq=b_sq, spans=[]), np.tile(b_sq, (2, 1)))
+
     def test_blocked_norms_match_one_pass(self):
         rng = np.random.default_rng(8)
         for shape in [(0, 3), (1, 1), (7, 12), (9600, 257), (40, 32768)]:

@@ -25,6 +25,7 @@ from radvlad import (
     run_pair,
     write_timing_csv,
 )
+from radvlad.codebook import pairwise_sq_dist
 from radvlad.descriptors import (
     RaplaceDescriptor,
     RingKeyDescriptor,
@@ -47,6 +48,7 @@ from radvlad.evaluate import (
     write_results_csv,
 )
 from radvlad.scenarios import run_rotation_scenario, synthetic_run_config
+from radvlad.spectral import unfold_half_spectrum
 from radvlad.synthetic import PlaceWorld as _World
 
 
@@ -321,8 +323,8 @@ class TestPlaceMap:
         via_map = distance_matrix_from_descriptors(method, queries, place_map).values
         via_list = distance_matrix_from_descriptors(method, plain_queries, plain_refs).values
         assert np.array_equal(via_map, via_list)
-        # One query at a time takes a matrix-vector product, whose sums may
-        # round differently from the batched matrix product's.
+        # One query at a time takes one product per span of the sections it
+        # fills, whose sums may round differently from the batch's product.
         one_at_a_time = np.vstack(
             [distance_matrix_from_descriptors(method, [q], place_map).values for q in plain_queries]
         )
@@ -471,6 +473,104 @@ class TestPlaceMap:
         short = [RingKeyDescriptor(d.values[:-1]) for d in refs]
         with pytest.raises(ArgumentError):
             distance_matrix_from_descriptors("ringkey", short, refs)
+
+
+SECTIONED = ["ringkey", "radvlad", "fft_radvlad"]
+_K, _W = 8, 10
+
+
+def _sections(method):
+    return 1 if method == "ringkey" else _K
+
+
+def _random_descriptor(method, rng, live):
+    """A descriptor of ``method`` that is random in its ``live`` sections
+    (a ring key is one section) and zero in the others."""
+    if method == "ringkey":
+        return RingKeyDescriptor(rng.random(_W) * live[0])
+    if method == "radvlad":
+        sections = rng.normal(size=(_K, _W))
+    else:
+        sections = unfold_half_spectrum(rng.normal(size=(_K, _W // 2 + 1)), _W)
+    return VladDescriptor((sections * live[:, None]).reshape(-1), _K, _W)
+
+
+def _random_map(method, rng, places=20):
+    return PlaceMap(method, [_random_descriptor(method, rng, np.ones(_sections(method), bool)) for _ in range(places)])
+
+
+def _dense(place_map, queries):
+    """The one product over full rows: the match with every section read."""
+    rows = np.array([place_map.method.array_of(q) for q in queries])
+    return pairwise_sq_dist(rows, place_map.stack, b_sq=place_map.sq_norms)
+
+
+class TestLiveSections:
+    """The vector match reads only the map columns of the sections some query fills."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("method", SECTIONED)
+    def test_partly_filled_queries_match_the_dense_expansion(self, method, seed):
+        rng = np.random.default_rng(seed)
+        place_map, n = _random_map(method, rng), _sections(method)
+        for size in (1, 2, 5):
+            # The last section is dead in every query, so the union is partial.
+            masks = rng.random((size, n)) < 0.4
+            masks[:, -1] = False
+            queries = [_random_descriptor(method, rng, live) for live in masks]
+            got = distance_matrix_from_descriptors(method, queries, place_map).values
+            np.testing.assert_allclose(got, _dense(place_map, queries), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("method", SECTIONED)
+    def test_every_section_live_is_the_dense_product_bit_for_bit(self, method, seed):
+        rng = np.random.default_rng(seed)
+        place_map, n = _random_map(method, rng), _sections(method)
+        owner = rng.integers(0, 3, n)
+        owner[:3] = np.arange(3)[:n]
+        batches = (
+            [_random_descriptor(method, rng, np.ones(n, bool))],
+            # No query fills every section, but together they do.
+            [_random_descriptor(method, rng, owner == i) for i in range(3)],
+        )
+        for queries in batches:
+            got = distance_matrix_from_descriptors(method, queries, place_map).values
+            assert np.array_equal(got, _dense(place_map, queries))
+
+    @pytest.mark.parametrize("method", SECTIONED)
+    def test_an_all_zero_query_is_the_maps_sq_norms(self, method):
+        rng = np.random.default_rng(5)
+        place_map, n = _random_map(method, rng), _sections(method)
+        zero = _random_descriptor(method, rng, np.zeros(n, bool))
+        partial = _random_descriptor(method, rng, np.arange(n) == 0)
+        for queries, row in (([zero], 0), ([zero, partial], 0), ([partial, zero], 1)):
+            got = distance_matrix_from_descriptors(method, queries, place_map).values
+            assert np.array_equal(got[row], place_map.sq_norms)
+
+    @pytest.mark.parametrize("method", SECTIONED)
+    def test_dead_sections_of_the_map_are_not_read(self, method):
+        rng = np.random.default_rng(6)
+        place_map, n = _random_map(method, rng), _sections(method)
+        live = np.zeros(n, bool)
+        live[1::3] = True
+        queries = [_random_descriptor(method, rng, live), _random_descriptor(method, rng, live & (np.arange(n) > 1))]
+        want = distance_matrix_from_descriptors(method, queries, place_map).values
+        # NaN in every dead section, after the full-row norms are cached:
+        # any read of those columns would reach the distances.
+        poisoned = place_map.stack.copy()
+        poisoned.reshape(len(place_map), n, -1)[:, ~live] = np.nan
+        place_map.stack = poisoned
+        got = distance_matrix_from_descriptors(method, queries, place_map).values
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_generators_of_descriptors_match_on_both_sides(self, method):
+        ref_scans, query_scans, cfg, codebook = _map_inputs(method, 0)
+        refs = list(encode_trajectory(ref_scans, method, cfg, codebook))
+        queries = list(encode_trajectory(query_scans, method, cfg, codebook))
+        want = distance_matrix_from_descriptors(method, queries, refs).values
+        got = distance_matrix_from_descriptors(method, (q for q in queries), (r for r in refs)).values
+        assert np.array_equal(got, want)
 
 
 class TestFoldedSpectra:
