@@ -7,12 +7,14 @@ into place descriptors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._files import FrameReader, ingesting, write_frame
 from .errors import ArgumentError, finite_array, finite_positive
+from .spectral import fold_half_spectrum, is_mirror_symmetric
 
 CDBK_MAGIC = b"CDBK"
 _CDBK_HEADER = "<IIQ"
@@ -52,6 +54,17 @@ class Codebook:
     @property
     def width(self) -> int:
         return self.centres.shape[1]
+
+    @functools.cached_property
+    def folded(self) -> "Codebook":
+        """This codebook with its centres folded onto their W//2+1 leading
+        columns (``spectral.fold_half_spectrum``), for labelling and
+        aggregating folded radial spectra; built on first use and kept.
+        Centres that are not mirror-symmetric cannot be folded, and raise
+        ``ArgumentError`` on every use."""
+        if not is_mirror_symmetric(self.centres):
+            raise ArgumentError("codebook centres are not mirror-symmetric, so they do not fold")
+        return replace(self, centres=fold_half_spectrum(self.centres))
 
 
 def sq_norms(x: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ Four place encodings are provided:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +44,11 @@ class VladDescriptor:
     values: np.ndarray
     k: int
     w: int
+    # When the package made this descriptor from its k sections folded onto
+    # w//2+1 columns each (``spectral.fold_half_spectrum``), that read-only
+    # row, with ``values`` read-only too; else None. Set only by
+    # ``radvlad.evaluate``, whose maps stack the row.
+    _folded: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = finite_array("vlad values", np.ravel(self.values), 1)

@@ -269,14 +269,18 @@ class Method:
     def array_of(self, descriptor) -> np.ndarray:
         """The row a map stacks of ``descriptor``, which must be of this
         method's class: its array, or, when the method ``folds``, each of
-        its k sections folded onto its W//2+1 leading columns. The fold
-        keeps every distance only between mirror-symmetric sections, so
-        other sections are an ``ArgumentError``."""
+        its k sections folded onto its W//2+1 leading columns. A descriptor
+        this module made from that row (``_unfolded``) gives it back as
+        kept; any other is folded here. The fold keeps every distance only
+        between mirror-symmetric sections, so other sections are an
+        ``ArgumentError``."""
         if not isinstance(descriptor, self.descriptor_class):
             raise ArgumentError(f"{self.name} takes {self.descriptor_class.__name__}, not {type(descriptor).__name__}")
         array = getattr(descriptor, self.field)
         if not self.folds:
             return array
+        if descriptor._folded is not None:
+            return descriptor._folded
         sections = array.reshape(descriptor.k, descriptor.w)
         if not is_mirror_symmetric(sections):
             raise ArgumentError(f"{self.name} takes descriptors whose sections are mirror-symmetric")
@@ -296,25 +300,37 @@ class Method:
             return self.descriptor_class(row)
         k, w = layout
         if self.folds:
-            row = _frozen(unfold_half_spectrum(row.reshape(k, -1), w).reshape(-1))
+            return _unfolded(row, k, w)
         return VladDescriptor(row, k, w)
 
 
 def _folded_encoder(rows, codebook: Codebook, cfg: RunConfig):
     """``fft_radvlad``'s encode. Radial spectra are labelled and aggregated
-    folded, against centres folded once here; the k x (W//2+1) residual
-    unfolds to the k x W descriptor. That needs centres that are spectra
-    themselves."""
-    k, width = codebook.k, codebook.width
-    if width != cfg.target_bins or not is_mirror_symmetric(codebook.centres):
-        raise ArgumentError(f"{METHOD_FFT_RADVLAD} needs a mirror-symmetric codebook of width {cfg.target_bins}")
-    folded = dc_replace(codebook, centres=fold_half_spectrum(codebook.centres))
+    folded, against the codebook's folded centres (``Codebook.folded``,
+    built once per codebook); the k x (W//2+1) residual unfolds to the
+    k x W descriptor, which keeps it. That needs a codebook as wide as the
+    spectra, whose centres are spectra themselves."""
+    if codebook.width != cfg.target_bins:
+        raise ArgumentError(
+            f"{METHOD_FFT_RADVLAD} needs a codebook of width target_bins = {cfg.target_bins}, got {codebook.width}"
+        )
+    k, width, folded = codebook.k, codebook.width, codebook.folded
 
     def encode(scan):
         half = encode_vlad(rows(scan), folded, l2_normalize=cfg.vlad_l2_normalize)
-        return VladDescriptor(unfold_half_spectrum(half.values.reshape(k, -1), width).reshape(-1), k, width)
+        return _unfolded(_frozen(half.values), k, width)
 
     return encode
+
+
+def _unfolded(half: np.ndarray, k: int, w: int) -> VladDescriptor:
+    """The read-only k x w descriptor whose sections fold to ``half``, and
+    which keeps ``half`` for ``Method.array_of``. ``half`` is a read-only
+    row of k folded sections that is already checked: an ``encode_vlad``
+    output or a row of a map's stack."""
+    descriptor = VladDescriptor(_frozen(unfold_half_spectrum(half.reshape(k, -1), w).reshape(-1)), k, w)
+    object.__setattr__(descriptor, "_folded", half)
+    return descriptor
 
 
 def fit_method_codebook(ref_scans, method: str, cfg: RunConfig) -> Codebook:

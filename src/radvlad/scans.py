@@ -7,6 +7,7 @@ being range bins of physical width ``range_resolution_m``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -220,21 +221,37 @@ def resample_range(scan: PolarScan, target_bins: int, suppress_bins: int = 0) ->
     return replace(scan, power=power, range_resolution_m=res)
 
 
-# Output bins per block of the banded box-average product. On a 2.1 GHz Xeon
-# VM with one OpenBLAS thread, 16 ran 400 x 3768 -> 512 fastest (1.8 ms; block
-# sizes from 8 to 32 took up to 2.8x as long).
+# Output bins per block of the banded box-average product. With the band
+# cached, on a 2-vCPU Xeon VM with one OpenBLAS thread, 16 ran 400 x 3768 ->
+# 512 in 1.7-2.3 ms, as fast as 8, while 12, 24 and 32 took up to 2.6x as long;
+# 32 x 1024 -> 512 took 0.08-0.19 ms at every size from 8 to 32 (timeit).
 _BOX_BLOCK_BINS = 16
+# Geometries whose band weights are kept. One geometry's weights take about
+# 128 bytes per input column (0.5 MB at 3768 columns).
+_BOX_BAND_GEOMETRIES = 8
 
 
 def _box_downsample(rows: np.ndarray, target: int, suppress: int) -> np.ndarray:
     # Output bin t averages the row, read as zero below column ``suppress``,
     # over [lo_t, lo_{t+1}) with lo_t = max(t * W / target, suppress): a
-    # product with a banded matrix whose (c, t) entry is the overlap of
-    # column c with that interval. Each block of output bins multiplies the
-    # few columns it covers by its dense slice of the band, so no
-    # full-scan temporary is made, all weights are >= 0, and bins inside
-    # the suppressed prefix get all-zero weights and come out exactly 0.
-    height, width = rows.shape
+    # product with a banded matrix (``_box_bands``). Each block of output
+    # bins multiplies the few columns it covers by its dense slice of the
+    # band, so no full-scan temporary is made.
+    span, blocks = _box_bands(rows.shape[1], target, suppress)
+    out = np.empty((rows.shape[0], target))
+    for t0, t1, c0, weights in blocks:
+        np.matmul(rows[:, c0 : c0 + span], weights, out=out[:, t0:t1])
+    return out
+
+
+@functools.lru_cache(maxsize=_BOX_BAND_GEOMETRIES)
+def _box_bands(width: int, target: int, suppress: int) -> tuple:
+    """The band of ``_box_downsample`` for one geometry, built once: the
+    columns each block reads, ``span``, and per block of output bins
+    ``(t0, t1, c0, weights)``, where read-only ``weights[c, t]`` is the
+    overlap of column c0 + c with bin t0 + t's interval, scaled by
+    target / W. All weights are >= 0, and bins inside the suppressed prefix
+    get all-zero weights, so they come out exactly 0."""
     bounds = np.maximum(np.arange(target + 1) * (width / target), suppress)
     bounds[-1] = width
     first = np.arange(0, target, _BOX_BLOCK_BINS)
@@ -248,11 +265,12 @@ def _box_downsample(rows: np.ndarray, target: int, suppress: int) -> np.ndarray:
     weights = np.minimum(bounds[bins + 1], cols + 1) - np.maximum(bounds[bins], cols)
     np.maximum(weights, 0.0, out=weights)
     weights *= target / width
-    out = np.empty((height, target))
-    for t0, c0, block in zip(first.tolist(), col0.tolist(), weights):
-        t1 = min(t0 + _BOX_BLOCK_BINS, target)
-        np.matmul(rows[:, c0:c0 + span], block[:, : t1 - t0], out=out[:, t0:t1])
-    return out
+    weights.setflags(write=False)
+    blocks = tuple(
+        (t0, min(t0 + _BOX_BLOCK_BINS, target), c0, block[:, : min(_BOX_BLOCK_BINS, target - t0)])
+        for t0, c0, block in zip(first.tolist(), col0.tolist(), weights)
+    )
+    return span, blocks
 
 
 def linear_resample_columns(rows: np.ndarray, target: int, suppress: int = 0) -> np.ndarray:

@@ -20,9 +20,11 @@ from radvlad import (
     encode_vlad,
     fit_kmeans_pp,
     ground_truth_matrix,
+    load_descriptor,
     radial_fft_magnitude,
     recall_at_n,
     run_pair,
+    save_descriptor,
     write_timing_csv,
 )
 from radvlad.codebook import pairwise_sq_dist
@@ -47,8 +49,10 @@ from radvlad.evaluate import (
     write_distance_matrix,
     write_results_csv,
 )
+from radvlad import codebook as codebook_module
+from radvlad import evaluate as evaluate_module
 from radvlad.scenarios import run_rotation_scenario, synthetic_run_config
-from radvlad.spectral import unfold_half_spectrum
+from radvlad.spectral import fold_half_spectrum, unfold_half_spectrum
 from radvlad.synthetic import PlaceWorld as _World
 
 
@@ -629,6 +633,121 @@ class TestFoldedSpectra:
         for bad in (skewed, narrow):
             with pytest.raises(ArgumentError):
                 encode_trajectory(scans[:1], "fft_radvlad", cfg, bad)
+
+
+class TestPreparedFold:
+    """fft_radvlad folds each codebook once and keeps the folded row of every
+    descriptor it makes, so a query is neither re-checked nor re-folded."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        world = _World(seed=6, cfg=WorldConfig(n_places=8))
+        scans = world.reference_trajectory().scans
+        cfg = synthetic_run_config(world.cfg, "fft_radvlad", k=8)
+        return scans, cfg, fit_method_codebook(scans, "fft_radvlad", cfg)
+
+    @staticmethod
+    def _fresh(codebook, centres=None):
+        """A codebook of the same (or the given) centres, nothing folded yet."""
+        return Codebook(codebook.centres if centres is None else centres, inertia=0.0, iterations_run=0)
+
+    def test_two_builds_fold_the_centres_once(self, fitted, monkeypatch):
+        scans, cfg, codebook = fitted
+        calls = []
+
+        def counting(rows):
+            calls.append(np.shape(rows))
+            return fold_half_spectrum(rows)
+
+        monkeypatch.setattr(codebook_module, "fold_half_spectrum", counting)
+        fresh = self._fresh(codebook)
+        first = Method("fft_radvlad", cfg, fresh)
+        second = Method("fft_radvlad", cfg, fresh)
+        assert calls == [(codebook.k, cfg.target_bins)]
+        assert np.array_equal(first.encode(scans[0]).values, second.encode(scans[0]).values)
+        encode_trajectory(scans[:2], "fft_radvlad", cfg, fresh)
+        assert len(calls) == 1
+
+    def test_an_asymmetric_codebook_raises_on_every_build(self, fitted):
+        _, cfg, codebook = fitted
+        skewed = self._fresh(codebook, codebook.centres + np.arange(cfg.target_bins))
+        for _ in range(2):
+            with pytest.raises(ArgumentError, match="centres are not mirror-symmetric"):
+                Method("fft_radvlad", cfg, skewed)
+
+    def test_a_wrong_width_raises_after_a_good_build(self, fitted):
+        _, cfg, codebook = fitted
+        Method("fft_radvlad", cfg, codebook)
+        for target_bins in (cfg.target_bins - 2, cfg.target_bins * 2):
+            with pytest.raises(ArgumentError, match=f"width target_bins = {target_bins}, got {cfg.target_bins}"):
+                Method("fft_radvlad", replace(cfg, target_bins=target_bins), codebook)
+
+    def test_each_codebook_fault_has_its_own_message(self, fitted):
+        scans, cfg, codebook = fitted
+        narrow = self._fresh(codebook, codebook.centres[:, :-1])
+        skewed = self._fresh(codebook, codebook.centres + np.arange(cfg.target_bins))
+        with pytest.raises(ArgumentError, match="needs a codebook of width") as wide_fault:
+            encode_trajectory(scans[:1], "fft_radvlad", cfg, narrow)
+        with pytest.raises(ArgumentError, match="not mirror-symmetric") as mirror_fault:
+            encode_trajectory(scans[:1], "fft_radvlad", cfg, skewed)
+        assert "mirror" not in str(wide_fault.value) and "width" not in str(mirror_fault.value)
+
+    def test_package_made_descriptors_give_back_their_folded_row(self, fitted, monkeypatch):
+        scans, cfg, codebook = fitted
+        method = Method("fft_radvlad", cfg, codebook)
+        made = method.encode(scans[0])
+        place_map = encode_trajectory(scans, "fft_radvlad", cfg, codebook)
+        rebuilt = place_map[3]
+
+        def refold(*args):
+            raise AssertionError("a package-made descriptor was checked and folded again")
+
+        monkeypatch.setattr(evaluate_module, "is_mirror_symmetric", refold)
+        monkeypatch.setattr(evaluate_module, "fold_half_spectrum", refold)
+        row = method.array_of(made)
+        assert row.shape == (codebook.k * (cfg.target_bins // 2 + 1),)
+        assert np.array_equal(row, place_map.stack[0])
+        assert np.shares_memory(method.array_of(rebuilt), place_map.stack)
+        assert np.array_equal(method.array_of(rebuilt), place_map.stack[3])
+        for descriptor in (made, rebuilt):
+            sections = descriptor.values.reshape(codebook.k, cfg.target_bins)
+            folded = fold_half_spectrum(sections).reshape(-1)
+            assert np.abs(method.array_of(descriptor) - folded).max() <= 1e-12 * np.abs(folded).max()
+            for array in (descriptor.values, method.array_of(descriptor)):
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+
+    def test_other_descriptors_are_still_checked_and_folded(self, fitted, tmp_path):
+        scans, cfg, codebook = fitted
+        method = Method("fft_radvlad", cfg, codebook)
+        made = method.encode(scans[0])
+        values = made.values.copy()
+        values[cfg.target_bins - 1] += 1.0  # column W-1 of section 0 no longer mirrors column 1
+        save_descriptor(tmp_path / "skewed.desc", VladDescriptor(values, made.k, made.w))
+        skewed = (
+            VladDescriptor(values, made.k, made.w),
+            load_descriptor(tmp_path / "skewed.desc"),
+            replace(made, values=values),
+        )
+        for descriptor in skewed:
+            with pytest.raises(ArgumentError, match="mirror-symmetric"):
+                method.array_of(descriptor)
+        by_hand = VladDescriptor(made.values.copy(), made.k, made.w)
+        assert np.abs(method.array_of(by_hand) - method.array_of(made)).max() <= 1e-12 * np.abs(made.values).max()
+
+    def test_distances_match_full_width_rows(self, fitted):
+        scans, cfg, codebook = fitted
+        place_map = encode_trajectory(scans, "fft_radvlad", cfg, codebook)
+        queries = [Method("fft_radvlad", cfg, codebook).encode(scan) for scan in scans[::3]]
+        full_refs = np.vstack([d.values for d in place_map])
+        full_queries = np.vstack([q.values for q in queries])
+        want = pairwise_sq_dist(full_queries, full_refs)
+        scale = np.abs(want).max()
+        for got in (
+            distance_matrix_from_descriptors("fft_radvlad", queries, place_map).values,
+            np.vstack([distance_matrix_from_descriptors("fft_radvlad", [q], place_map).values for q in queries]),
+        ):
+            assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 class TestBlasPin:

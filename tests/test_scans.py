@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from radvlad import (
     write_poses,
     write_prsn,
 )
+from radvlad import scans as scans_module
 
 
 def make_scan(power, res=0.1):
@@ -324,6 +327,96 @@ class TestFusedSuppression:
     def test_out_of_range_suppression_rejected(self, suppress):
         with pytest.raises(ArgumentError):
             resample_range(make_scan(np.ones((2, 12))), 4, suppress_bins=suppress)
+
+
+def banded_box_reference(rows, target, suppress):
+    """The blocked band product of ``scans._box_downsample``, built afresh on
+    every call, so the cached bands can be checked against it bit for bit."""
+    height, width = rows.shape
+    block_bins = scans_module._BOX_BLOCK_BINS
+    bounds = np.maximum(np.arange(target + 1) * (width / target), suppress)
+    bounds[-1] = width
+    first = np.arange(0, target, block_bins)
+    bins = np.minimum(first[:, None, None] + np.arange(block_bins), target - 1)
+    col0 = np.floor(bounds[first]).astype(np.int64)
+    span = int((np.ceil(bounds[bins[:, 0, -1] + 1]).astype(np.int64) - col0).max())
+    col0 = np.minimum(col0, width - span)
+    cols = col0[:, None, None] + np.arange(span)[:, None]
+    weights = np.minimum(bounds[bins + 1], cols + 1) - np.maximum(bounds[bins], cols)
+    np.maximum(weights, 0.0, out=weights)
+    weights *= target / width
+    out = np.empty((height, target))
+    for t0, c0, block in zip(first.tolist(), col0.tolist(), weights):
+        t1 = min(t0 + block_bins, target)
+        np.matmul(rows[:, c0 : c0 + span], block[:, : t1 - t0], out=out[:, t0:t1])
+    return out
+
+
+class TestBoxBandCache:
+    # (width, target, suppress): no suppression, all of it, one bin fewer
+    # than the width, widths that are not a multiple of the target, targets
+    # below one block of bins, and the raw-scan and largemap geometries.
+    GRID = [
+        (37, 5, 0),
+        (37, 5, 37),
+        (37, 36, 0),
+        (37, 36, 11),
+        (100, 99, 100),
+        (100, 33, 7),
+        (1000, 3, 0),
+        (1000, 15, 999),
+        (17, 16, 5),
+        (2, 1, 1),
+        (1024, 512, 0),
+        (3768, 512, 60),
+    ]
+
+    @pytest.mark.parametrize("width,target,suppress", GRID)
+    def test_cached_bands_give_the_fresh_bands_bits(self, width, target, suppress):
+        rng = np.random.default_rng(width + target + suppress)
+        for _ in range(2):  # the second call reads the cached band
+            rows = rng.random((5, width)) * 10.0 ** rng.integers(-3, 6, size=(5, 1))
+            want = banded_box_reference(rows, target, suppress)
+            assert np.array_equal(scans_module._box_downsample(rows, target, suppress), want)
+            assert np.array_equal(resample_range(make_scan(rows), target, suppress_bins=suppress).power, want)
+
+    def test_cached_weights_are_read_only(self):
+        span, blocks = scans_module._box_bands(3768, 512, 60)
+        assert len(blocks) == 512 // scans_module._BOX_BLOCK_BINS
+        for t0, t1, c0, weights in blocks:
+            assert weights.shape == (span, t1 - t0) and weights.min() >= 0.0
+            with pytest.raises(ValueError):
+                weights[0, 0] = 1.0
+        assert scans_module._box_bands(3768, 512, 60)[1] is blocks
+
+    def test_the_cache_is_bounded(self):
+        limit = scans_module._box_bands.cache_info().maxsize
+        assert limit is not None
+        rows = np.ones((1, 64))
+        for target in range(1, limit + 6):
+            scans_module._box_downsample(rows, target, 0)
+        assert scans_module._box_bands.cache_info().currsize == limit
+
+    def test_concurrent_encodes_are_byte_identical(self):
+        from radvlad.evaluate import encode_trajectory, fit_method_codebook
+        from radvlad.scenarios import synthetic_run_config
+        from radvlad.synthetic import PlaceWorld, WorldConfig
+
+        world = PlaceWorld(seed=3, cfg=WorldConfig(n_places=12))
+        scans = world.reference_trajectory().scans
+        cfg = synthetic_run_config(world.cfg, "fft_radvlad", k=4)
+        codebook = fit_method_codebook(scans, "fft_radvlad", cfg)
+        stacks = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so workers race to build the bands
+        try:
+            for jobs in (1, 2, 4):
+                scans_module._box_bands.cache_clear()
+                place_map = encode_trajectory(scans, "fft_radvlad", cfg, codebook, jobs=jobs)
+                stacks.append((place_map.stack.tobytes(), b"".join(d.values.tobytes() for d in place_map)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert stacks[0] == stacks[1] == stacks[2]
 
 
 class TestPolarToCartesian:
