@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import runs, sweep
 from .codebook import load_codebook, save_codebook
-from .config import METHODS, build_run_config, config_keys, parse_config_file
+from .config import METHODS, RunConfig, build_run_config, config_keys, parse_config_file
 from .descriptors import save_descriptor
 from .errors import ArgumentError, IngestError, NumericError
 from .evaluate import (
@@ -25,8 +26,8 @@ from .evaluate import (
     run_pair,
     write_timing_csv,
 )
-from .scans import RasterLayoutConfig, load_polar_scan, load_poses, write_poses, write_prsn
-from .scenarios import run_rotation_scenario, run_self_scenario, run_translation_scenario
+from .scans import SAMPLE_ENCODINGS, RasterLayoutConfig, load_polar_scan, load_poses, write_poses, write_prsn
+from .scenarios import SCENARIO_WORLDS, run_rotation_scenario, run_self_scenario, run_translation_scenario
 from .synthetic import WorldConfig
 
 JOBS_ENV_VAR = "RADVLAD_JOBS"
@@ -53,33 +54,31 @@ def _add_jobs_flag(parser) -> None:
 def _add_config_flags(parser, include_method: bool = True) -> None:
     group = parser.add_argument_group("run configuration (flags override --config file values)")
     group.add_argument("--config", metavar="FILE", help="'key = value' config file with # comments")
+    cfg = RunConfig()
+
+    def setting(flag: str, text: str, default, **kind) -> None:
+        shown = f"{default:g}" if isinstance(default, float) else default
+        group.add_argument(flag, help=f"{text} (default: {shown})", **kind)
+
     if include_method:
-        group.add_argument("--method", choices=METHODS, help="place descriptor method (default: fft_radvlad)")
-    group.add_argument("--suppress-bins", type=int, help="near-range bins zeroed before resampling (default: 60)")
-    group.add_argument("--target-bins", type=int, help="range bins after resampling (default: 512)")
-    group.add_argument("--k", type=int, help="codebook cluster count (default: 64)")
-    group.add_argument("--kmeans-tol", type=float, help="relative inertia decrease to stop (default: 0.0001)")
-    group.add_argument("--kmeans-seed", type=int, help="codebook seeding RNG seed (default: 0)")
-    group.add_argument("--kmeans-max-iter", type=int, help="iteration cap for clustering (default: 300)")
-    group.add_argument("--stride", type=int, help="keep every stride-th scan (default: 10)")
-    group.add_argument("--threshold-m", type=float, help="ground-truth match gate in metres (default: 25)")
-    group.add_argument("--n-max", type=int, help="largest N in the Recall@N curve (default: 50)")
-    group.add_argument(
-        "--vlad-l2-normalize",
+        setting("--method", "place descriptor method", cfg.method, choices=METHODS)
+    setting("--suppress-bins", "near-range bins zeroed before resampling", cfg.suppress_bins, type=int)
+    setting("--target-bins", "range bins after resampling", cfg.target_bins, type=int)
+    setting("--k", "codebook cluster count", cfg.k, type=int)
+    setting("--kmeans-tol", "relative inertia decrease to stop", cfg.kmeans_tol, type=float)
+    setting("--kmeans-seed", "codebook seeding RNG seed", cfg.kmeans_seed, type=int)
+    setting("--kmeans-max-iter", "iteration cap for clustering", cfg.kmeans_max_iter, type=int)
+    setting("--stride", "keep every stride-th scan", cfg.stride, type=int)
+    setting("--threshold-m", "ground-truth match gate in metres", cfg.threshold_m, type=float)
+    setting("--n-max", "largest N in the Recall@N curve", cfg.n_max, type=int)
+    setting(
+        "--vlad-l2-normalize", "L2-normalise aggregated descriptors", "on" if cfg.vlad_l2_normalize else "off",
         action=argparse.BooleanOptionalAction,
-        default=None,
-        help="L2-normalise aggregated descriptors (default: off)",
     )
-    group.add_argument("--raplace-width-px", type=int, help="Cartesian grid side in pixels (default: 256)")
-    group.add_argument(
-        "--raplace-resolution-m", type=float, help="Cartesian metres per pixel (default: 1.2717)"
-    )
-    group.add_argument(
-        "--raplace-scale-pct", type=float, help="sinogram radial downscale percent (default: 25)"
-    )
-    group.add_argument(
-        "--raplace-n-angles", type=int, help="sinogram projection angles (default: width_px)"
-    )
+    setting("--raplace-width-px", "Cartesian grid side in pixels", cfg.raplace.width_px, type=int)
+    setting("--raplace-resolution-m", "Cartesian metres per pixel", cfg.raplace.resolution_m, type=float)
+    setting("--raplace-scale-pct", "sinogram radial downscale percent", cfg.raplace.scale_pct, type=float)
+    group.add_argument("--raplace-n-angles", type=int, help="sinogram projection angles (default: width_px)")
 
 
 def _config_from_args(args):
@@ -100,13 +99,17 @@ def _list_of(kind):
     return parse
 
 
+def _given(args, names) -> dict:
+    """The given flags among the dests ``names``; the rest keep their owners' defaults."""
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
+
 def cmd_ingest(args) -> int:
     layout = RasterLayoutConfig(
         rows=args.rows,
         header_bytes_per_row=args.header_bytes,
         payload_bins=args.bins,
-        sample_encoding=args.encoding,
-        range_resolution_m=args.range_resolution,
+        **_given(args, ("sample_encoding", "range_resolution_m")),
     )
     src = Path(args.src)
     if not src.is_dir():
@@ -210,38 +213,20 @@ def cmd_bench(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    default_places = {"rotation": 50, "translation": 30, "self": 100}
-    places = args.places if args.places is not None else default_places[args.scenario]
-    world_cfg = WorldConfig(
-        n_places=places,
-        n_reflectors=args.reflectors,
-        n_azimuths=args.azimuths,
-        n_bins=args.bins,
-        max_range_m=args.max_range,
-        beam_sigma_bins=args.beam_sigma,
-        noise_sigma=args.noise_sigma,
-    )
+    world_cfg = replace(SCENARIO_WORLDS[args.scenario], **_given(args, [f.name for f in fields(WorldConfig)]))
+    common = {"world_cfg": world_cfg, "jobs": args.jobs, **_given(args, ("seed", "k"))}
     if args.scenario == "rotation":
-        run = run_rotation_scenario(
-            args.out, seed=args.seed, world_cfg=world_cfg, trials=args.trials, k=args.k, jobs=args.jobs
-        )
-        print(f"synth rotation: Recall@1 = {run.recall.recall_pct[0]:.2f}% over {args.trials} trials")
+        run = run_rotation_scenario(args.out, **common, **_given(args, ("trials",)))
+        print(f"synth rotation: Recall@1 = {run.recall.recall_pct[0]:.2f}% over {len(run.distances.values)} trials")
     elif args.scenario == "translation":
-        raw, spectral = run_translation_scenario(
-            args.out,
-            seed=args.seed,
-            world_cfg=world_cfg,
-            translate_min_m=args.translate_min,
-            translate_max_m=args.translate_max,
-            k=args.k,
-            jobs=args.jobs,
-        )
+        bounds = _given(args, ("translate_min_m", "translate_max_m"))
+        raw, spectral = run_translation_scenario(args.out, **common, **bounds)
         print(
             f"synth translation: Recall@1 raw rows = {raw.recall.recall_pct[0]:.2f}%, "
             f"radial spectra = {spectral.recall.recall_pct[0]:.2f}%"
         )
     else:
-        scenario_runs = run_self_scenario(args.out, seed=args.seed, world_cfg=world_cfg, k=args.k, jobs=args.jobs)
+        scenario_runs = run_self_scenario(args.out, **common)
         summary = ", ".join(f"{r.method}={r.recall.recall_pct[0]:.1f}%" for r in scenario_runs)
         print(f"synth self: Recall@1 {summary}")
     return 0
@@ -260,8 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, required=True, help="azimuth rows per scan file")
     p.add_argument("--header-bytes", type=int, default=0, help="metadata bytes before each row's samples")
     p.add_argument("--bins", type=int, required=True, help="range bins per row")
-    p.add_argument("--encoding", choices=("u8", "f32-LE"), default="u8", help="sample encoding")
-    p.add_argument("--range-resolution", type=float, default=0.0432, help="metres per range bin")
+    p.add_argument("--encoding", dest="sample_encoding", choices=SAMPLE_ENCODINGS, help="sample encoding")
+    p.add_argument(
+        "--range-resolution", dest="range_resolution_m", metavar="RANGE_RESOLUTION", type=float,
+        help="metres per range bin",
+    )
     p.add_argument("--poses", help="pose CSV to validate and copy into the run directory")
     p.set_defaults(func=cmd_ingest)
 
@@ -318,20 +306,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("synth", help="run a deterministic synthetic scenario end to end")
-    p.add_argument("--scenario", choices=("rotation", "translation", "self"), required=True)
+    p.add_argument("--scenario", choices=tuple(SCENARIO_WORLDS), required=True)
     p.add_argument("--out", required=True, help="output directory for results artefacts")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--places", type=int, default=None, help="places in the world (default: per scenario)")
-    p.add_argument("--reflectors", type=int, default=50, help="reflectors per place scene")
-    p.add_argument("--trials", type=int, default=100, help="rotation scenario: query count")
-    p.add_argument("--azimuths", type=int, default=64, help="render: azimuth rows")
-    p.add_argument("--bins", type=int, default=256, help="render: range bins")
-    p.add_argument("--max-range", type=float, default=60.0, help="render: max range (m)")
-    p.add_argument("--beam-sigma", type=float, default=1.5, help="render: blob sigma (bins)")
-    p.add_argument("--noise-sigma", type=float, default=0.0, help="render: additive noise std")
-    p.add_argument("--translate-min", type=float, default=1.0, help="translation scenario: min offset (m)")
-    p.add_argument("--translate-max", type=float, default=5.0, help="translation scenario: max offset (m)")
-    p.add_argument("--k", type=int, default=8, help="codebook size for the synthetic worlds")
+    p.add_argument("--seed", type=int)
+    # Each flag below sets a WorldConfig field or a scenario argument.
+    for flag, dest, kind, text in (
+        ("--places", "n_places", int, "places in the world (default: per scenario)"),
+        ("--reflectors", "n_reflectors", int, "reflectors per place scene"),
+        ("--trials", "trials", int, "rotation scenario: query count"),
+        ("--azimuths", "n_azimuths", int, "render: azimuth rows"),
+        ("--bins", "n_bins", int, "render: range bins"),
+        ("--max-range", "max_range_m", float, "render: max range (m)"),
+        ("--beam-sigma", "beam_sigma_bins", float, "render: blob sigma (bins)"),
+        ("--noise-sigma", "noise_sigma", float, "render: additive noise std"),
+        ("--translate-min", "translate_min_m", float, "translation scenario: min offset (m)"),
+        ("--translate-max", "translate_max_m", float, "translation scenario: max offset (m)"),
+        ("--k", "k", int, "codebook size for the synthetic worlds"),
+    ):
+        p.add_argument(flag, dest=dest, metavar=flag[2:].replace("-", "_").upper(), type=kind, help=text)
     _add_jobs_flag(p)
     p.set_defaults(func=cmd_synth)
 

@@ -286,12 +286,30 @@ class Method:
             raise ArgumentError(f"{self.name} takes descriptors whose sections are mirror-symmetric")
         return fold_half_spectrum(sections).reshape(-1)
 
-    def layout_of(self, descriptor) -> tuple:
-        """What the descriptors of one map share: a ``VladDescriptor``'s
-        (k, w), or the shape of another descriptor's array."""
-        if self.descriptor_class is VladDescriptor:
-            return descriptor.k, descriptor.w
-        return getattr(descriptor, self.field).shape
+    def stack_of(self, descriptors, count: int | None = None) -> tuple:
+        """``(stack, layout)``: the rows (``array_of``) of one or more
+        ``descriptors``, walked once and copied as they arrive into a new
+        array of ``count`` rows (by default, as many as there are), and the
+        layout they share: a ``VladDescriptor``'s (k, w), else the row's shape."""
+        if count is None:
+            descriptors = list(descriptors)
+            count = len(descriptors)
+        if count < 1:
+            raise ArgumentError("need at least one descriptor")
+        stack = layout = None
+        placed = 0
+        for descriptor in descriptors:
+            row = self.array_of(descriptor)
+            shape = (descriptor.k, descriptor.w) if self.descriptor_class is VladDescriptor else row.shape
+            if stack is None:
+                layout, stack = shape, np.empty((count, *row.shape))
+            elif placed >= count or shape != layout:
+                raise ArgumentError(f"descriptor {placed} does not fit {count} descriptors of layout {layout}")
+            stack[placed] = row
+            placed += 1
+        if placed != count:
+            raise ArgumentError(f"expected {count} descriptors, got {placed}")
+        return stack, layout
 
     def descriptor_of(self, row: np.ndarray, layout: tuple):
         """The descriptor of ``layout`` whose ``array_of`` is the read-only
@@ -345,8 +363,8 @@ class PlaceMap(Sequence):
     """Encoded places of one run, held once with what matching reuses.
 
     A sequence of one method's descriptors; ``method`` is that ``Method``,
-    or its name. Each descriptor's row (``Method.array_of``) is copied, as
-    it arrives, into one contiguous read-only float64 ``stack``, which is
+    or its name. Each descriptor's row is copied, as it arrives, into one
+    contiguous read-only float64 ``stack`` (``Method.stack_of``), which is
     all the map keeps of it: an ``fft_radvlad`` map holds folded sections,
     half its descriptors' bytes. The descriptors share one ``layout``, and
     indexing rebuilds each, read-only, from its row. Matching reads every
@@ -357,24 +375,7 @@ class PlaceMap(Sequence):
 
     def __init__(self, method, descriptors, count: int | None = None):
         self.method = method if isinstance(method, Method) else Method(method)
-        if count is None:
-            descriptors = list(descriptors)
-            count = len(descriptors)
-        if count < 1:
-            raise ArgumentError("a map needs at least one descriptor")
-        stack = self.layout = None
-        placed = 0
-        for descriptor in descriptors:
-            row = self.method.array_of(descriptor)
-            if stack is None:
-                self.layout = self.method.layout_of(descriptor)
-                stack = np.empty((count, *row.shape))
-            elif placed >= count or self.method.layout_of(descriptor) != self.layout:
-                raise ArgumentError(f"descriptor {placed} does not fit a map of {count} x {self.layout}")
-            stack[placed] = row
-            placed += 1
-        if placed != count:
-            raise ArgumentError(f"expected {count} descriptors, got {placed}")
+        stack, self.layout = self.method.stack_of(descriptors, count)
         self.stack = _frozen(stack)
 
     def __len__(self) -> int:
@@ -454,24 +455,21 @@ def _raplace_distance_matrix(queries: np.ndarray, refs: PlaceMap) -> DistanceMat
 def distance_matrix_from_descriptors(method: str, query_descs, ref_descs) -> DistanceMatrix:
     """Queries-by-references distances under ``method``. The references are
     matched as a ``PlaceMap``, built here from a plain sequence of
-    descriptors; the queries' rows (``Method.array_of``) are stacked, or a
-    query ``PlaceMap``'s stack is taken as is. A map of another method, or a
-    descriptor not of the method's class or the map's layout, is an
-    ``ArgumentError``."""
+    descriptors; plain queries are stacked by the same ``Method.stack_of``
+    but not mapped, or a query ``PlaceMap``'s stack is taken as is. A map of
+    another method, or a descriptor not of the method's class or the map's
+    layout, is an ``ArgumentError``."""
     for given in (ref_descs, query_descs):
         if isinstance(given, PlaceMap) and given.method.name != method:
             raise ArgumentError(f"cannot match by {method}: given a {given.method.name} map")
     refs = ref_descs if isinstance(ref_descs, PlaceMap) else PlaceMap(method, ref_descs)
     if isinstance(query_descs, PlaceMap):
-        queries, layouts = query_descs.stack, {query_descs.layout}
+        queries, layout = query_descs.stack, query_descs.layout
     else:
-        queries, layouts = [], set()
-        for descriptor in query_descs:  # walked once, so any iterable will do
-            queries.append(refs.method.array_of(descriptor))
-            layouts.add(refs.method.layout_of(descriptor))
-    if layouts != {refs.layout}:
-        raise ArgumentError(f"queries must be one or more descriptors of the reference layout {refs.layout}")
-    return refs.method.match(np.asarray(queries), refs)
+        queries, layout = refs.method.stack_of(query_descs)
+    if layout != refs.layout:
+        raise ArgumentError(f"queries must be descriptors of the reference layout {refs.layout}, not {layout}")
+    return refs.method.match(queries, refs)
 
 
 def _timed_map(fn, items, jobs: int, seconds: list):

@@ -13,6 +13,13 @@ from .descriptors import RaplaceConfig
 from .evaluate import EvalRun, run_pair, write_distance_matrix, write_results_csv
 from .synthetic import PlaceWorld, WorldConfig
 
+# The world each scenario runs in unless it is given one.
+SCENARIO_WORLDS = {
+    "rotation": WorldConfig(n_places=50),
+    "translation": WorldConfig(n_places=30),
+    "self": WorldConfig(n_places=100),
+}
+
 
 def synthetic_run_config(world_cfg: WorldConfig, method: str = METHOD_FFT_RADVLAD, k: int = 8) -> RunConfig:
     """RunConfig matched to a synthetic world's render geometry.
@@ -28,19 +35,15 @@ def synthetic_run_config(world_cfg: WorldConfig, method: str = METHOD_FFT_RADVLA
         target_bins=world_cfg.n_bins,
         k=k,
         stride=1,
-        n_max=min(50, world_cfg.n_places),
-        raplace=RaplaceConfig(
-            width_px=width,
-            resolution_m=2.0 * world_cfg.max_range_m / width,
-            scale_pct=25.0,
-        ),
+        n_max=min(RunConfig.n_max, world_cfg.n_places),
+        raplace=RaplaceConfig(width_px=width, resolution_m=2.0 * world_cfg.max_range_m / width),
     )
 
 
 def run_rotation_scenario(
     out_dir=None,
     seed: int = 0,
-    world_cfg: WorldConfig = WorldConfig(n_places=50),
+    world_cfg: WorldConfig = SCENARIO_WORLDS["rotation"],
     trials: int = 100,
     k: int = 8,
     jobs: int = 1,
@@ -60,7 +63,7 @@ def run_rotation_scenario(
 def run_translation_scenario(
     out_dir=None,
     seed: int = 0,
-    world_cfg: WorldConfig = WorldConfig(n_places=30),
+    world_cfg: WorldConfig = SCENARIO_WORLDS["translation"],
     translate_min_m: float = 1.0,
     translate_max_m: float = 5.0,
     k: int = 8,
@@ -94,7 +97,7 @@ def run_translation_scenario(
 def run_self_scenario(
     out_dir=None,
     seed: int = 0,
-    world_cfg: WorldConfig = WorldConfig(n_places=100),
+    world_cfg: WorldConfig = SCENARIO_WORLDS["self"],
     methods=METHODS,
     k: int = 8,
     jobs: int = 1,

@@ -75,14 +75,33 @@ def generate_scene(n_reflectors: int, extent_m: float, seed: int) -> ReflectorSc
     return ReflectorScene(positions, intensities, extent_m, seed)
 
 
+@dataclass(frozen=True)
+class WorldConfig:
+    """Geometry and render settings shared by the synthetic world builders."""
+
+    n_places: int = 50
+    n_reflectors: int = 50
+    extent_m: float = 80.0
+    spacing_m: float = 40.0
+    n_azimuths: int = 64
+    n_bins: int = 256
+    max_range_m: float = 60.0
+    beam_sigma_bins: float = 1.5
+    noise_sigma: float = 0.0
+
+    def __post_init__(self):
+        if self.n_places < 1:
+            raise ArgumentError(f"n_places must be >= 1, got {self.n_places}")
+
+
 def render_polar(
     scene: ReflectorScene,
     pose: SensorPose,
-    n_azimuths: int = 64,
-    n_bins: int = 256,
-    max_range_m: float = 60.0,
-    beam_sigma_bins: float = 1.5,
-    noise_sigma: float = 0.0,
+    n_azimuths: int = WorldConfig.n_azimuths,
+    n_bins: int = WorldConfig.n_bins,
+    max_range_m: float = WorldConfig.max_range_m,
+    beam_sigma_bins: float = WorldConfig.beam_sigma_bins,
+    noise_sigma: float = WorldConfig.noise_sigma,
     seed=0,
 ) -> PolarScan:
     """Render the scene from a pose as an H x W polar power raster.
@@ -146,25 +165,6 @@ def load_scene_csv(path, extent_m: float | None = None) -> ReflectorScene:
         extent_m = float(np.abs(data[:, :2]).max()) if len(data) else 1.0
     with ingesting(path):
         return ReflectorScene(data[:, :2], data[:, 2], extent_m)
-
-
-@dataclass(frozen=True)
-class WorldConfig:
-    """Geometry and render settings shared by the synthetic world builders."""
-
-    n_places: int = 50
-    n_reflectors: int = 50
-    extent_m: float = 80.0
-    spacing_m: float = 40.0
-    n_azimuths: int = 64
-    n_bins: int = 256
-    max_range_m: float = 60.0
-    beam_sigma_bins: float = 1.5
-    noise_sigma: float = 0.0
-
-    def __post_init__(self):
-        if self.n_places < 1:
-            raise ArgumentError(f"n_places must be >= 1, got {self.n_places}")
 
 
 class PlaceWorld:

@@ -1,10 +1,14 @@
 import hashlib
+import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from radvlad import WorldConfig, load_codebook
+from radvlad import RasterLayoutConfig, RunConfig, WorldConfig, load_codebook
+from radvlad import cli, scenarios
 from radvlad.cli import build_parser, main
+from radvlad.config import METHODS
 from radvlad.runs import write_trajectory
 from radvlad.synthetic import PlaceWorld
 
@@ -89,8 +93,31 @@ class TestHelp:
             "--raplace-resolution-m", "--raplace-scale-pct", "--raplace-n-angles",
         ):
             assert flag in text
-        for default in ("60", "512", "64", "0.0001", "300", "10", "25", "50", "256", "1.2717"):
-            assert default in text
+        flat = " ".join(text.split())
+        cfg = RunConfig()
+        shown = {
+            "--method": cfg.method,
+            "--suppress-bins": cfg.suppress_bins,
+            "--target-bins": cfg.target_bins,
+            "--k": cfg.k,
+            "--kmeans-tol": cfg.kmeans_tol,
+            "--kmeans-seed": cfg.kmeans_seed,
+            "--kmeans-max-iter": cfg.kmeans_max_iter,
+            "--stride": cfg.stride,
+            "--threshold-m": cfg.threshold_m,
+            "--n-max": cfg.n_max,
+            "--vlad-l2-normalize": "on" if cfg.vlad_l2_normalize else "off",
+            "--raplace-width-px": cfg.raplace.width_px,
+            "--raplace-resolution-m": cfg.raplace.resolution_m,
+            "--raplace-scale-pct": cfg.raplace.scale_pct,
+            "--raplace-n-angles": "width_px" if cfg.raplace.n_angles is None else cfg.raplace.n_angles,
+        }
+        localize = build_parser()._subparsers._group_actions[0].choices["localize"]
+        helps = {action.option_strings[0]: action.help for action in localize._actions if action.option_strings}
+        for flag, default in shown.items():
+            default = f"{default:g}" if isinstance(default, float) else str(default)
+            assert helps[flag].endswith(f"(default: {default})"), (flag, helps[flag])
+            assert " ".join(helps[flag].split()) in flat
 
 
 def test_config_flags_match_config_keys():
@@ -129,6 +156,25 @@ class TestIngest:
         written = sorted((out / "scans").glob("*.prsn"))
         assert [p.name for p in written] == ["000000.prsn", "000002.prsn"]
         assert "1001.bin" in capsys.readouterr().err
+
+    def test_missing_source_directory_fails(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["ingest", "--src", str(tmp_path / "nope"), "--out", str(out), "--rows", "2", "--bins", "4"]) == 1
+        assert "source directory not found" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_layout_flags_not_given_keep_the_layout_defaults(self, raw_source, tmp_path, monkeypatch):
+        layouts = []
+        load = cli.load_polar_scan
+
+        def spy(path, layout):
+            layouts.append(layout)
+            return load(path, layout)
+
+        monkeypatch.setattr(cli, "load_polar_scan", spy)
+        argv = ["ingest", "--src", str(raw_source), "--out", str(tmp_path / "run"), "--rows", "8", "--bins", "16"]
+        assert main([*argv, "--header-bytes", "5"]) == 0
+        assert set(layouts) == {RasterLayoutConfig(rows=8, header_bytes_per_row=5, payload_bins=16)}
 
     def test_trailing_bytes_fail(self, tmp_path, capsys):
         src = tmp_path / "src"
@@ -375,6 +421,34 @@ class TestSynthCommand:
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
         assert tree_digest(out_a) == tree_digest(out_b)
+
+    def test_self_scenario_localises_every_method(self, tmp_path, capsys):
+        out = tmp_path / "self"
+        assert main(["synth", "--scenario", "self", "--out", str(out), "--places", "3", "--bins", "64", "--k", "2"]) == 0
+        rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+        assert {row[2] for row in rows if row[3] == "1" and row[4] == "100.000000"} == set(METHODS)
+        assert capsys.readouterr().out.startswith("synth self: Recall@1 ringkey=100.0%")
+
+    @pytest.mark.parametrize(
+        "scenario, function",
+        [("rotation", "run_rotation_scenario"), ("translation", "run_translation_scenario"), ("self", "run_self_scenario")],
+    )
+    def test_flags_not_given_keep_the_scenarios_own_defaults(self, tmp_path, monkeypatch, scenario, function):
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def spy(out_dir, **kwargs):
+            seen.append(kwargs)
+            raise Stop
+
+        monkeypatch.setattr(cli, function, spy)
+        own = inspect.signature(getattr(scenarios, function)).parameters["world_cfg"].default
+        for flags, world in (([], own), (["--azimuths", "32"], replace(own, n_azimuths=32))):
+            with pytest.raises(Stop):
+                main(["synth", "--scenario", scenario, "--out", str(tmp_path), "--jobs", "1", *flags])
+            assert seen[-1] == {"world_cfg": world, "jobs": 1}
 
     def test_translation_scenario_writes_both_methods(self, tmp_path):
         out = tmp_path / "tr"

@@ -138,6 +138,10 @@ class TestFit:
         duplicated = np.repeat(rng.random((2, 3)), 4, axis=0)
         with pytest.raises(ArgumentError):
             fit_kmeans_pp(duplicated, 3, seed=0)  # k > distinct count
+        with pytest.raises(ArgumentError, match="k must be >= 1"):
+            fit_kmeans_pp(data, 0, seed=0)
+        with pytest.raises(ArgumentError, match="max_iter must be >= 1"):
+            fit_kmeans_pp(data, 2, seed=0, max_iter=0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ArgumentError, match="seed"):

@@ -50,6 +50,11 @@ class TestDefaults:
         with pytest.raises(ArgumentError, match="kmeans_seed"):
             RunConfig(kmeans_seed=-1)
 
+    @pytest.mark.parametrize("name", ["target_bins", "k", "stride", "n_max", "kmeans_max_iter"])
+    def test_counts_below_one_rejected(self, name):
+        with pytest.raises(ArgumentError, match=f"{name}.*>= 1"):
+            RunConfig(**{name: 0})
+
 
 class TestConfigFile:
     def test_parse_key_value_lines(self, tmp_path):
@@ -69,6 +74,20 @@ class TestConfigFile:
         path.write_text("just a line\n")
         with pytest.raises(ArgumentError):
             parse_config_file(path)
+
+    def test_empty_key_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("k = 4\n = 3\n")
+        with pytest.raises(ArgumentError, match="line 2: empty key"):
+            parse_config_file(path)
+
+    @pytest.mark.parametrize("line", ["k = 3.5", "threshold_m = far"])
+    def test_value_of_the_wrong_type_in_a_file_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        key = line.split(" ")[0]
+        with pytest.raises(ArgumentError, match=f"{key}: expected"):
+            build_run_config(parse_config_file(path))
 
     def test_file_values_applied(self):
         cfg = build_run_config({"k": "16", "method": "radvlad", "raplace.width_px": "64"})
@@ -97,6 +116,10 @@ class TestConfigFile:
     def test_raplace_n_angles_override(self):
         cfg = build_run_config({"raplace.n_angles": "48"})
         assert cfg.raplace.angles == 48
+
+    def test_raplace_n_angles_none_is_the_width(self):
+        cfg = build_run_config({"raplace.n_angles": "none", "raplace.width_px": "64"}, {"raplace.n_angles": None})
+        assert cfg.raplace.n_angles is None and cfg.raplace.angles == 64
 
 
 class TestValidValues:

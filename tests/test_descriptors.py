@@ -149,6 +149,16 @@ class TestVlad:
             encode_vlad(np.zeros((3, 5)), cb)
 
 
+    @pytest.mark.parametrize(
+        "k, w, size, reason",
+        [(0, 4, 4, "got k=0, w=4"), (2, 0, 4, "got k=2, w=0"), (2, 3, 5, r"length 5 != k\*w = 6")],
+        ids=["k_below_1", "w_below_1", "length_not_k_times_w"],
+    )
+    def test_bad_dimensions_rejected(self, k, w, size, reason):
+        with pytest.raises(ArgumentError, match=reason):
+            VladDescriptor(np.ones(size), k, w)
+
+
 class TestDescriptorDistance:
     def test_self_distance_zero(self):
         v = RingKeyDescriptor(np.random.default_rng(8).random(9))
@@ -388,6 +398,12 @@ class TestDescriptorFiles:
         back = load_descriptor(path)
         assert isinstance(back, RaplaceDescriptor)
         assert np.array_equal(back.spectrum, desc.spectrum)
+
+    def test_unsupported_object_is_not_saved(self, tmp_path):
+        path = tmp_path / "array.desc"
+        with pytest.raises(ArgumentError, match="unsupported descriptor type ndarray"):
+            save_descriptor(path, np.ones(3))
+        assert not path.exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.desc"

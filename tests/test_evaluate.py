@@ -38,12 +38,15 @@ from radvlad.descriptors import (
 from radvlad.evaluate import (
     Method,
     PlaceMap,
+    RecallCurve,
+    TimingReport,
     _openblas_thread_functions,
     _single_thread_context,
     blas_threads,
     distance_matrix_from_descriptors,
     encode_trajectory,
     fit_method_codebook,
+    pair_setup,
     preprocess_scan,
     read_distance_matrix,
     write_distance_matrix,
@@ -51,6 +54,7 @@ from radvlad.evaluate import (
 )
 from radvlad import codebook as codebook_module
 from radvlad import evaluate as evaluate_module
+from radvlad.scans import Trajectory
 from radvlad.scenarios import run_rotation_scenario, synthetic_run_config
 from radvlad.spectral import fold_half_spectrum, unfold_half_spectrum
 from radvlad.synthetic import PlaceWorld as _World
@@ -115,6 +119,11 @@ class TestGroundTruth:
         empty = TrajectoryPoses([], [], [])
         with pytest.raises(ArgumentError):
             ground_truth_matrix(poses, empty, 25.0)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2, 3)])
+    def test_matrix_that_is_not_2d_rejected(self, shape):
+        with pytest.raises(ArgumentError, match="2-D"):
+            GroundTruthMatrix(np.zeros(shape, dtype=bool), 25.0)
 
 
 class TestRecallAtN:
@@ -182,6 +191,22 @@ class TestRecallAtN:
                 1,
             )
 
+    def test_n_max_below_one_rejected(self):
+        with pytest.raises(ArgumentError, match="n_max"):
+            recall_at_n(DistanceMatrix(np.zeros((2, 3))), GroundTruthMatrix(np.ones((2, 3), dtype=bool), 25.0), 0)
+
+    def test_no_query_with_a_match_gives_a_zero_curve(self):
+        curve = recall_at_n(DistanceMatrix(np.zeros((2, 3))), GroundTruthMatrix(np.zeros((2, 3), dtype=bool), 25.0), 4)
+        assert curve.n_values.tolist() == [1, 2, 3, 4] and curve.recall_pct.tolist() == [0.0] * 4
+        assert (curve.evaluated_queries, curve.skipped_queries) == (0, 2)
+
+    def test_curve_read_at_a_missing_n_rejected(self):
+        curve = RecallCurve(np.arange(1, 4), np.array([50.0, 75.0, 100.0]), 4)
+        assert curve.at(2) == 75.0
+        for n in (0, 4):
+            with pytest.raises(ArgumentError, match=f"N={n} not in curve"):
+                curve.at(n)
+
 
 class TestAssociatePoses:
     def test_nearest_timestamp_wins(self):
@@ -201,6 +226,26 @@ class TestAssociatePoses:
         poses = TrajectoryPoses([0, 10], [0.0, 1.0], [0.0, 0.0])
         out = associate_poses([Stub(5)], poses)
         assert out.easting_m.tolist() == [0.0]
+
+    def test_no_poses_or_unordered_scans_rejected(self):
+        class Stub:
+            def __init__(self, ts):
+                self.timestamp_ns = ts
+
+        poses = TrajectoryPoses([0, 10], [0.0, 1.0], [0.0, 0.0])
+        with pytest.raises(ArgumentError, match="pose list is empty"):
+            associate_poses([Stub(5)], TrajectoryPoses([], [], []))
+        for stamps in ([5, 5], [6, 5]):
+            with pytest.raises(ArgumentError, match="strictly increasing"):
+                associate_poses([Stub(t) for t in stamps], poses)
+
+    def test_pair_setup_rejects_an_empty_trajectory(self, small_world):
+        ref = small_world.reference_trajectory()
+        empty = Trajectory("empty", [], TrajectoryPoses([], [], []))
+        cfg = synthetic_run_config(small_world.cfg, "ringkey")
+        for query, refs in ((empty, ref), (ref, empty)):
+            with pytest.raises(ArgumentError, match="at least one scan"):
+                pair_setup(query, refs, cfg)
 
 
 class TestDistanceMatrixIO:
@@ -311,6 +356,15 @@ def _one_by_one(scans, method, cfg, codebook):
 
 def _array(descriptor):
     return descriptor.spectrum if isinstance(descriptor, RaplaceDescriptor) else descriptor.values
+
+
+def _of_another_layout(descriptor):
+    """A descriptor of the same class one column, or for VLAD one section, short."""
+    if isinstance(descriptor, RaplaceDescriptor):
+        return RaplaceDescriptor(descriptor.spectrum[:, :-1])
+    if isinstance(descriptor, RingKeyDescriptor):
+        return RingKeyDescriptor(descriptor.values[:-1])
+    return VladDescriptor(descriptor.values[: (descriptor.k - 1) * descriptor.w], descriptor.k - 1, descriptor.w)
 
 
 class TestPlaceMap:
@@ -454,6 +508,53 @@ class TestPlaceMap:
         for bad in ([], [first, narrow], [narrow, first]):
             with pytest.raises(ArgumentError):
                 distance_matrix_from_descriptors(method, bad, place_map)
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_plain_queries_and_references_reject_the_same_malformed_lists(self, method, monkeypatch):
+        ref_scans, _, cfg, codebook = _map_inputs(method, 0)
+        place_map = encode_trajectory(ref_scans, method, cfg, codebook)
+        good = list(place_map)
+        other = _of_another_layout(good[0])
+        calls, raised, stack_of = [], [], Method.stack_of
+
+        def spy(self, descriptors, count=None):
+            calls.append(count)
+            try:
+                return stack_of(self, descriptors, count)
+            except ArgumentError as exc:
+                raised.append(str(exc))
+                raise
+
+        monkeypatch.setattr(Method, "stack_of", spy)
+        distance_matrix_from_descriptors(method, good[:2], good)
+        assert calls == [None, None]  # the references, then the queries
+        for bad in ([], [good[0], other], [other, *good]):
+            messages = []
+            for query_descs, ref_descs in ((bad, good), (bad, place_map), (good, bad)):
+                with pytest.raises(ArgumentError) as caught:
+                    distance_matrix_from_descriptors(method, query_descs, ref_descs)
+                assert raised[-1] == str(caught.value)
+                messages.append(str(caught.value))
+            assert len(set(messages)) == 1, messages
+        stacker = Method(method, cfg, codebook)
+        with pytest.raises(ArgumentError, match=f"expected {len(good)} descriptors, got {len(good) - 1}"):
+            stacker.stack_of(iter(good[:-1]), len(good))
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_a_map_takes_exactly_count_descriptors_of_one_layout(self, method):
+        ref_scans, _, cfg, codebook = _map_inputs(method, 0)
+        good = list(encode_trajectory(ref_scans, method, cfg, codebook))
+        n = len(good)
+        assert len(PlaceMap(method, iter(good), n)) == n
+        for descriptors, count, reason in (
+            ([], None, "at least one descriptor"),
+            (good, 0, "at least one descriptor"),
+            (good, n - 1, f"descriptor {n - 1} does not fit {n - 1} descriptors"),
+            (good[:-1], n, f"expected {n} descriptors, got {n - 1}"),
+            ([good[0], _of_another_layout(good[1])], None, "descriptor 1 does not fit 2 descriptors"),
+        ):
+            with pytest.raises(ArgumentError, match=reason):
+                PlaceMap(method, iter(descriptors), count)
 
     def test_descriptors_of_another_class_raise(self):
         ring_key, vlad = RingKeyDescriptor(np.ones(8)), VladDescriptor(np.zeros(8), 2, 4)
@@ -801,6 +902,19 @@ class TestBenchTimings:
     def test_unknown_method_rejected(self, bench_scans):
         with pytest.raises(ArgumentError):
             bench_timings("nope", bench_scans, 1)
+
+    def test_no_scans_or_negative_repetitions_rejected(self, bench_scans):
+        with pytest.raises(ArgumentError, match="at least one scan"):
+            bench_timings("ringkey", [], 1)
+        with pytest.raises(ArgumentError, match="repetitions"):
+            bench_timings("ringkey", bench_scans, -1)
+
+    def test_report_percentiles_and_unknown_phase(self):
+        report = TimingReport("ringkey", np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([0.5]))
+        assert report.percentile("build", 25) == 2.0 and report.percentile("distance", 90) == 0.5
+        assert report.median("build") == report.percentile("build", 50) == 3.0
+        with pytest.raises(ArgumentError, match="unknown phase 'encode'"):
+            report.median("encode")
 
     def test_vlad_encodes_honour_l2_normalize(self, bench_scans, monkeypatch):
         from radvlad import evaluate

@@ -23,6 +23,7 @@ from radvlad import (
     write_prsn,
 )
 from radvlad import scans as scans_module
+from radvlad.runs import load_trajectory, write_trajectory
 
 
 def make_scan(power, res=0.1):
@@ -88,6 +89,20 @@ class TestRawIngestion:
         with pytest.raises(IngestError, match=r"long\.bin: .*exactly 8 bytes, found 40"):
             load_polar_scan(path, layout)
 
+    @pytest.mark.parametrize(
+        "layout, reason",
+        [
+            ({"rows": 0, "header_bytes_per_row": 0, "payload_bins": 4}, "dimensions"),
+            ({"rows": 2, "header_bytes_per_row": -1, "payload_bins": 4}, "dimensions"),
+            ({"rows": 2, "header_bytes_per_row": 0, "payload_bins": 0}, "dimensions"),
+            ({"rows": 2, "header_bytes_per_row": 0, "payload_bins": 4, "sample_encoding": "u16"}, "sample_encoding"),
+        ],
+        ids=["no_rows", "negative_header", "no_bins", "unknown_encoding"],
+    )
+    def test_bad_layout_rejected(self, layout, reason):
+        with pytest.raises(ArgumentError, match=reason):
+            RasterLayoutConfig(**layout)
+
     def test_f32_passthrough(self, tmp_path):
         values = np.array([[0.25, 1.5, 0.0, 3.0]], dtype="<f4")
         path = tmp_path / "f.bin"
@@ -138,8 +153,9 @@ class TestPoseCsv:
         [
             (b"timestamp_ns,easting_m,northing_m\n1,0,\xff\n", "codec"),
             (b"timestamp_ns,easting_m,northing_m\n99999999999999999999,0,0\n", "row 2"),
+            (b"timestamp_ns,x_m,y_m\n1,0,0\n", "expected header"),
         ],
-        ids=["not_utf8", "timestamp_overflow"],
+        ids=["not_utf8", "timestamp_overflow", "wrong_header"],
     )
     def test_malformed_file_rejected_naming_the_file(self, tmp_path, data, reason):
         path = tmp_path / "bad_poses.csv"
@@ -449,6 +465,10 @@ class TestPolarToCartesian:
         cart = polar_to_cartesian(scan, 64, 1.0)
         assert np.abs(cart.pixels - np.rot90(cart.pixels)).max() < 1e-9
 
+    def test_non_square_pixels_rejected(self):
+        with pytest.raises(ArgumentError, match="square"):
+            CartesianScan(np.zeros((2, 3)), 1.0)
+
     def test_odd_width_rejected(self):
         with pytest.raises(ArgumentError):
             polar_to_cartesian(make_scan(np.zeros((4, 4))), 33, 1.0)
@@ -503,7 +523,40 @@ class TestTrajectoryPoses:
         with pytest.raises(ArgumentError):
             TrajectoryPoses([3, 3], [0, 0], [0, 0])
 
+    @pytest.mark.parametrize(
+        "columns, reason",
+        [
+            (([1, 2], [0.0], [0.0, 1.0]), "equal lengths"),
+            (([1, 2], [0.0, np.nan], [0.0, 1.0]), "finite"),
+            (([1, 2], [0.0, 1.0], [np.inf, 1.0]), "finite"),
+        ],
+        ids=["unequal_lengths", "nan_easting", "inf_northing"],
+    )
+    def test_malformed_columns_rejected(self, columns, reason):
+        with pytest.raises(ArgumentError, match=reason):
+            TrajectoryPoses(*columns)
+
     def test_positions_shape(self):
         poses = TrajectoryPoses([1, 2], [5.0, 6.0], [7.0, 8.0])
         assert poses.positions().shape == (2, 2)
         assert poses.positions()[1].tolist() == [6.0, 8.0]
+
+
+class TestRunDirectory:
+    @pytest.fixture
+    def run_dir(self, tmp_path):
+        scans = [PolarScan(np.ones((2, 3)), 0.1, timestamp_ns=t) for t in (1, 2)]
+        return write_trajectory(tmp_path / "run", scans, TrajectoryPoses([1, 2], [0.0, 1.0], [0.0, 0.0]))
+
+    def test_no_scans_rejected(self, run_dir):
+        for scan in (run_dir / "scans").glob("*.prsn"):
+            scan.unlink()
+        with pytest.raises(IngestError, match="no .prsn scans"):
+            load_trajectory(run_dir)
+
+    def test_missing_poses_rejected_only_when_required(self, run_dir):
+        (run_dir / "poses.csv").unlink()
+        with pytest.raises(IngestError, match="missing poses.csv"):
+            load_trajectory(run_dir)
+        trajectory = load_trajectory(run_dir, require_poses=False)
+        assert len(trajectory.scans) == 2 and len(trajectory.poses) == 0

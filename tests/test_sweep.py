@@ -46,6 +46,12 @@ class TestRingKeySweep:
         with pytest.raises(ArgumentError):
             sweep_ringkey(query, ref, cfg, [7], [64], [32])
 
+    @pytest.mark.parametrize("crop_bins", [0, 10_000])
+    def test_crop_bins_out_of_range_rejected(self, pair, crop_bins):
+        query, ref, cfg = pair
+        with pytest.raises(ArgumentError, match="crop bins"):
+            sweep_ringkey(query, ref, cfg, [10], [crop_bins], [32])
+
 
 class TestRaplaceSweep:
     def test_scales_cross_zipped_pairs(self, pair):

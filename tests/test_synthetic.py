@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
@@ -43,7 +45,37 @@ class TestGenerateScene:
             generate_scene(5, 10.0, seed=-1)
 
 
+class TestSceneChecks:
+    @pytest.mark.parametrize(
+        "positions, intensities, reason",
+        [
+            (np.zeros((2, 2)), np.ones(3), "equal lengths"),
+            (np.array([[0.0, np.nan]]), np.ones(1), "finite"),
+            (np.array([[0.0, 11.0]]), np.ones(1), "within the scene extent"),
+        ],
+        ids=["unequal_lengths", "nan_position", "outside_extent"],
+    )
+    def test_bad_reflectors_rejected(self, positions, intensities, reason):
+        with pytest.raises(ArgumentError, match=reason):
+            ReflectorScene(positions, intensities, extent_m=10.0)
+
+    @pytest.mark.parametrize("pose", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, -np.inf)])
+    def test_non_finite_pose_rejected(self, pose):
+        with pytest.raises(ArgumentError, match="finite"):
+            SensorPose(*pose)
+
+    @pytest.mark.parametrize("shape", [{"n_azimuths": 0}, {"n_bins": 0}])
+    def test_empty_raster_rejected(self, shape):
+        with pytest.raises(ArgumentError, match="n_azimuths and n_bins"):
+            render_polar(generate_scene(3, 10.0, seed=0), SensorPose(0.0, 0.0), **shape)
+
+
 class TestRenderPolar:
+    def test_defaults_are_the_world_defaults(self):
+        params = inspect.signature(render_polar).parameters
+        for name in ("n_azimuths", "n_bins", "max_range_m", "beam_sigma_bins", "noise_sigma"):
+            assert params[name].default == getattr(WorldConfig(), name)
+
     def test_empty_scene_noiseless_is_zero(self):
         scene = generate_scene(0, 10.0, seed=0)
         scan = render_polar(scene, SensorPose(0, 0, 0), n_azimuths=8, n_bins=16, max_range_m=20.0)
