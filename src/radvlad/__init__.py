@@ -16,12 +16,12 @@ from .config import (
     METHOD_RAPLACE,
     METHOD_RINGKEY,
     METHODS,
+    RaplaceConfig,
     RunConfig,
     build_run_config,
     parse_config_file,
 )
 from .descriptors import (
-    RaplaceConfig,
     RaplaceDescriptor,
     RingKeyDescriptor,
     VladDescriptor,

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._files import FrameReader, ingesting, write_frame
-from .errors import ArgumentError, finite_array, finite_positive
+from .config import RunConfig
+from .errors import ArgumentError, bounded_int, finite_array, finite_positive
 from .spectral import fold_half_spectrum, is_mirror_symmetric
 
 CDBK_MAGIC = b"CDBK"
@@ -170,7 +171,8 @@ def _update_centres(vectors: np.ndarray, labels: np.ndarray, centres: np.ndarray
     return new
 
 
-def fit_kmeans_pp(vectors, k: int, tol: float = 1e-4, seed: int = 0, max_iter: int = 300) -> Codebook:
+def fit_kmeans_pp(vectors, k: int, tol: float = RunConfig.kmeans_tol, seed: int = RunConfig.kmeans_seed,
+                  max_iter: int = RunConfig.kmeans_max_iter) -> Codebook:
     """Fit k centres by k-means++ seeding followed by Lloyd iterations.
 
     Iteration stops when the relative decrease in inertia is <= ``tol`` or
@@ -188,15 +190,11 @@ def fit_kmeans_pp(vectors, k: int, tol: float = 1e-4, seed: int = 0, max_iter: i
         vector_sq = sq_norms(vectors)
     if not np.isfinite(vector_sq).all():
         raise ArgumentError("vectors must be finite, with finite squared norms")
-    if k < 1:
-        raise ArgumentError(f"k must be >= 1, got {k}")
-    if k > vectors.shape[0]:
+    if bounded_int("k", k, 1) > vectors.shape[0]:
         raise ArgumentError(f"k={k} exceeds the {vectors.shape[0]} available vectors")
     finite_positive("tol", tol)
-    if max_iter < 1:
-        raise ArgumentError(f"max_iter must be >= 1, got {max_iter}")
-    if seed < 0:
-        raise ArgumentError(f"seed must be >= 0, got {seed}")
+    bounded_int("max_iter", max_iter, 1)
+    bounded_int("seed", seed, 0)
 
     centres = _seed_centres(vectors, vector_sq, k, np.random.default_rng(seed))
 

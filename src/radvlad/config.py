@@ -11,8 +11,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from ._files import ingesting
-from .descriptors import RaplaceConfig
-from .errors import ArgumentError, finite_positive
+from .errors import ArgumentError, bounded_int, finite_positive
 
 METHOD_RINGKEY = "ringkey"
 METHOD_RAPLACE = "raplace"
@@ -20,6 +19,29 @@ METHOD_RADVLAD = "radvlad"
 METHOD_FFT_RADVLAD = "fft_radvlad"
 METHODS = (METHOD_RINGKEY, METHOD_RAPLACE, METHOD_RADVLAD, METHOD_FFT_RADVLAD)
 VLAD_METHODS = (METHOD_RADVLAD, METHOD_FFT_RADVLAD)
+
+
+@dataclass(frozen=True)
+class RaplaceConfig:
+    """Settings of the sinogram-spectrum encoder; errors name each by its
+    config key (``raplace.width_px``)."""
+
+    width_px: int = 256
+    resolution_m: float = 1.2717
+    scale_pct: float = 25.0
+    n_angles: int | None = None
+
+    def __post_init__(self):
+        if bounded_int("raplace.width_px", self.width_px, 2) % 2 != 0:
+            raise ArgumentError(f"raplace.width_px must be even and >= 2, got {self.width_px!r}")
+        finite_positive("raplace.resolution_m", self.resolution_m)
+        if finite_positive("raplace.scale_pct", self.scale_pct) > 100.0:
+            raise ArgumentError(f"raplace.scale_pct must be in (0, 100], got {self.scale_pct!r}")
+        bounded_int("raplace.n_angles", self.angles, 1)  # None reads the width, checked above
+
+    @property
+    def angles(self) -> int:
+        return self.n_angles if self.n_angles is not None else self.width_px
 
 
 @dataclass
@@ -40,10 +62,8 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ArgumentError(f"method must be one of {METHODS}, got {self.method!r}")
-        if min(self.target_bins, self.k, self.stride, self.n_max, self.kmeans_max_iter) < 1:
-            raise ArgumentError("target_bins, k, stride, n_max, kmeans_max_iter must be >= 1")
-        if self.suppress_bins < 0 or self.kmeans_seed < 0:
-            raise ArgumentError("suppress_bins and kmeans_seed must be >= 0")
+        for name in ("suppress_bins", "target_bins", "k", "kmeans_seed", "kmeans_max_iter", "stride", "n_max"):
+            bounded_int(name, getattr(self, name), 0 if name in ("suppress_bins", "kmeans_seed") else 1)
         finite_positive("kmeans_tol", self.kmeans_tol)
         finite_positive("threshold_m", self.threshold_m)
 
@@ -92,7 +112,8 @@ def _convert(name: str, value, annotation: str):
             return target_type(value)
         except ValueError:
             raise ArgumentError(f"{name}: expected {target_type.__name__}, got {value!r}") from None
-    return target_type(value)
+    # A given int is checked, not truncated, by the config that takes it.
+    return value if target_type is int else target_type(value)
 
 
 def build_run_config(file_values: dict | None = None, overrides: dict | None = None) -> RunConfig:

@@ -21,7 +21,8 @@ import numpy as np
 
 from ._files import FrameReader, ingesting, write_frame
 from .codebook import Codebook, cluster_sums, nearest_centre_labels
-from .errors import ArgumentError, IngestError, finite_array, finite_positive
+from .config import RaplaceConfig
+from .errors import ArgumentError, IngestError, bounded_int, finite_array
 from .scans import CartesianScan, PolarScan, linear_resample_columns, polar_to_cartesian
 
 DESC_MAGIC = b"DESC"
@@ -52,9 +53,7 @@ class VladDescriptor:
 
     def __post_init__(self):
         values = finite_array("vlad values", np.ravel(self.values), 1)
-        if self.k < 1 or self.w < 1:
-            raise ArgumentError(f"vlad needs k >= 1 and w >= 1, got k={self.k}, w={self.w}")
-        if values.size != self.k * self.w:
+        if values.size != bounded_int("k", self.k, 1) * bounded_int("w", self.w, 1):
             raise ArgumentError(f"vlad length {values.size} != k*w = {self.k * self.w}")
         object.__setattr__(self, "values", values)
 
@@ -65,30 +64,6 @@ class RaplaceDescriptor:
 
     def __post_init__(self):
         object.__setattr__(self, "spectrum", finite_array("spectrum", self.spectrum, 2, non_negative=True))
-
-
-@dataclass(frozen=True)
-class RaplaceConfig:
-    """Settings of the sinogram-spectrum encoder; errors name each by its
-    config key (``raplace.width_px``)."""
-
-    width_px: int = 256
-    resolution_m: float = 1.2717
-    scale_pct: float = 25.0
-    n_angles: int | None = None
-
-    def __post_init__(self):
-        if self.width_px < 2 or self.width_px % 2 != 0:
-            raise ArgumentError(f"raplace.width_px must be even and >= 2, got {self.width_px!r}")
-        finite_positive("raplace.resolution_m", self.resolution_m)
-        if finite_positive("raplace.scale_pct", self.scale_pct) > 100.0:
-            raise ArgumentError(f"raplace.scale_pct must be in (0, 100], got {self.scale_pct!r}")
-        if self.n_angles is not None and self.n_angles < 1:
-            raise ArgumentError(f"raplace.n_angles must be >= 1, got {self.n_angles!r}")
-
-    @property
-    def angles(self) -> int:
-        return self.n_angles if self.n_angles is not None else self.width_px
 
 
 def encode_ring_key(scan: PolarScan) -> RingKeyDescriptor:
@@ -223,8 +198,7 @@ def radon_sinogram(scan: CartesianScan, n_angles: int) -> np.ndarray:
     quarter turn maps the grid centre (side - 1)/2 onto itself, so the
     pi/2 row is read through the grid-aligned phi = 0 operator.
     """
-    if n_angles < 1:
-        raise ArgumentError(f"n_angles must be >= 1, got {n_angles}")
+    bounded_int("n_angles", n_angles, 1)
     side = scan.width_px
     images = [scan.pixels.ravel()]
     if n_angles % 2 == 0:

@@ -1,11 +1,12 @@
-"""Exception types shared across the package, and the two checks that
-define a valid value: ``finite_positive`` for a scalar setting and
-``finite_array`` for an array. Every container and config states its
-real-valued invariants through them. Both accept only finite values, so
-NaN, which passes a rejecting test such as ``x <= 0.0``, fails them.
+"""Exception types shared across the package, and the three checks that
+define a valid value: ``finite_positive`` for a real setting, ``bounded_int``
+for an integer setting and ``finite_array`` for an array. Every container,
+config and public function states its invariants through them. NaN passes
+a rejecting test such as ``x <= 0.0`` or ``n < 1``, and fails all three.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -30,6 +31,19 @@ def finite_positive(name: str, value, zero_ok: bool = False) -> float:
         sign = "non-negative" if zero_ok else "positive"
         raise ArgumentError(f"{name} must be finite and {sign}, got {value!r}")
     return value
+
+
+def bounded_int(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an int, if it is an integer (numpy's too, but not a bool)
+    in ``[low, high]``, with no upper limit when ``high`` is None; otherwise
+    an ``ArgumentError`` naming ``name``. Every float fails, NaN included."""
+    integral = not isinstance(value, bool) and hasattr(type(value), "__index__")
+    if integral:
+        number = operator.index(value)
+        if number >= low and (high is None or number <= high):
+            return number
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise ArgumentError(f"{name} must be {'' if integral else 'an integer '}{bound}, got {value!r}")
 
 
 def finite_array(name: str, values, ndim: int, non_negative: bool = False) -> np.ndarray:

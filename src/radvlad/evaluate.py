@@ -48,7 +48,7 @@ from .descriptors import (
     encode_vlad,
     raplace_similarity,
 )
-from .errors import ArgumentError, finite_array, finite_positive
+from .errors import ArgumentError, bounded_int, finite_array, finite_positive
 from .scans import (
     PolarScan,
     Trajectory,
@@ -123,8 +123,7 @@ class EvalRun:
 
 def downsample_trajectory(scans, stride: int) -> list:
     """Every ``stride``-th element, starting at index 0."""
-    if stride < 1:
-        raise ArgumentError(f"stride must be >= 1, got {stride}")
+    bounded_int("stride", stride, 1)
     return list(scans[::stride])
 
 
@@ -165,8 +164,7 @@ def recall_at_n(dist: DistanceMatrix, gt: GroundTruthMatrix, n_max: int) -> Reca
         raise ArgumentError(
             f"shape mismatch: distances {dist.values.shape} vs ground truth {gt.is_match.shape}"
         )
-    if n_max < 1:
-        raise ArgumentError("n_max must be >= 1")
+    bounded_int("n_max", n_max, 1)
     has_match = gt.is_match.any(axis=1)
     evaluated = int(has_match.sum())
     skipped = int(len(has_match) - evaluated)
@@ -190,7 +188,7 @@ def preprocess_scan(scan: PolarScan, cfg: RunConfig) -> PolarScan:
 
 def _map_jobs(fn, items, jobs: int):
     """Yield ``fn(item)`` for each item in order, using up to ``jobs`` threads."""
-    if jobs <= 1 or len(items) <= 1:
+    if bounded_int("jobs", jobs, 1) == 1 or len(items) <= 1:
         yield from map(fn, items)
         return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -670,9 +668,7 @@ def bench_timings(method: str, scans, repetitions: int, cfg: RunConfig | None = 
     prepared = Method(method, cfg)
     if not scans:
         raise ArgumentError("at least one scan is required")
-    if repetitions < 0:
-        raise ArgumentError("repetitions must be >= 0")
-    if repetitions == 0:
+    if bounded_int("repetitions", repetitions, 0) == 0:
         return TimingReport(method, np.zeros(0), np.zeros(0))
     prepared = prepared.fit(scans)
     encode = prepared.encode

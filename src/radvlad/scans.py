@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ._files import FrameReader, ingesting, read_csv_rows, write_csv_rows, write_frame
-from .errors import ArgumentError, IngestError, finite_array, finite_positive
+from .errors import ArgumentError, IngestError, bounded_int, finite_array, finite_positive
 
 PRSN_MAGIC = b"PRSN"
 _PRSN_HEADER = "<IIdQ"
@@ -127,8 +127,9 @@ class RasterLayoutConfig:
     range_resolution_m: float = 0.0432
 
     def __post_init__(self):
-        if self.rows < 1 or self.payload_bins < 1 or self.header_bytes_per_row < 0:
-            raise ArgumentError("invalid raster layout dimensions")
+        bounded_int("rows", self.rows, 1)
+        bounded_int("header_bytes_per_row", self.header_bytes_per_row, 0)
+        bounded_int("payload_bins", self.payload_bins, 1)
         if self.sample_encoding not in SAMPLE_ENCODINGS:
             raise ArgumentError(f"sample_encoding must be one of {SAMPLE_ENCODINGS}")
         finite_positive("range_resolution_m", self.range_resolution_m)
@@ -208,11 +209,9 @@ def resample_range(scan: PolarScan, target_bins: int, suppress_bins: int = 0) ->
     The first ``suppress_bins`` input columns are read as zero, so near-range
     suppression costs no copy of the scan; ``scan`` itself is not modified.
     """
-    if target_bins < 1:
-        raise ArgumentError(f"target_bins must be >= 1, got {target_bins}")
+    bounded_int("target_bins", target_bins, 1)
     width = scan.range_bin_count
-    if suppress_bins < 0 or suppress_bins > width:
-        raise ArgumentError(f"suppress_bins must be in [0, {width}], got {suppress_bins}")
+    bounded_int("suppress_bins", suppress_bins, 0, width)
     if target_bins < width:
         power = _box_downsample(scan.power, target_bins, suppress_bins)
     else:
@@ -304,7 +303,7 @@ def polar_to_cartesian(scan: PolarScan, width_px: int, resolution_m: float) -> C
     are zero. The sensor sits at the grid centre and bearing 0 points
     along +x (increasing column index).
     """
-    if width_px < 2 or width_px % 2 != 0:
+    if bounded_int("width_px", width_px, 2) % 2 != 0:
         raise ArgumentError(f"width_px must be even and >= 2, got {width_px}")
     resolution_m = finite_positive("resolution_m", resolution_m)
     n_az, n_bins = scan.power.shape

@@ -8,12 +8,12 @@ from __future__ import annotations
 from dataclasses import replace
 from pathlib import Path
 
-from .config import METHOD_FFT_RADVLAD, METHOD_RADVLAD, METHODS, RunConfig
-from .descriptors import RaplaceConfig
+from .config import METHOD_FFT_RADVLAD, METHOD_RADVLAD, METHODS, RaplaceConfig, RunConfig
 from .evaluate import EvalRun, run_pair, write_distance_matrix, write_results_csv
 from .synthetic import PlaceWorld, WorldConfig
 
-# The world each scenario runs in unless it is given one.
+# The codebook size and the world each scenario runs with unless it is given them.
+SCENARIO_K = 8
 SCENARIO_WORLDS = {
     "rotation": WorldConfig(n_places=50),
     "translation": WorldConfig(n_places=30),
@@ -21,7 +21,7 @@ SCENARIO_WORLDS = {
 }
 
 
-def synthetic_run_config(world_cfg: WorldConfig, method: str = METHOD_FFT_RADVLAD, k: int = 8) -> RunConfig:
+def synthetic_run_config(world_cfg: WorldConfig, method: str = METHOD_FFT_RADVLAD, k: int = SCENARIO_K) -> RunConfig:
     """RunConfig matched to a synthetic world's render geometry.
 
     Synthetic scenes carry no self-return, so suppression is disabled and
@@ -45,7 +45,7 @@ def run_rotation_scenario(
     seed: int = 0,
     world_cfg: WorldConfig = SCENARIO_WORLDS["rotation"],
     trials: int = 100,
-    k: int = 8,
+    k: int = SCENARIO_K,
     jobs: int = 1,
 ) -> EvalRun:
     """Noiseless queries re-rendered at random integer-azimuth headings.
@@ -66,7 +66,7 @@ def run_translation_scenario(
     world_cfg: WorldConfig = SCENARIO_WORLDS["translation"],
     translate_min_m: float = 1.0,
     translate_max_m: float = 5.0,
-    k: int = 8,
+    k: int = SCENARIO_K,
     jobs: int = 1,
 ) -> tuple[EvalRun, EvalRun]:
     """Paired run on translated queries: raw-row VLAD vs spectral VLAD.
@@ -99,7 +99,7 @@ def run_self_scenario(
     seed: int = 0,
     world_cfg: WorldConfig = SCENARIO_WORLDS["self"],
     methods=METHODS,
-    k: int = 8,
+    k: int = SCENARIO_K,
     jobs: int = 1,
 ) -> list[EvalRun]:
     """Localise a trajectory against itself with every method.

@@ -16,7 +16,7 @@ import numpy as np
 from ._files import write_csv_rows
 from .config import METHOD_RAPLACE, METHOD_RINGKEY, RunConfig
 from .descriptors import encode_ring_key
-from .errors import ArgumentError
+from .errors import ArgumentError, bounded_int
 from .evaluate import _map_jobs, distance_matrix_from_descriptors, pair_setup, recall_at_n, run_pair
 from .scans import PolarScan, Trajectory, resample_range
 
@@ -24,9 +24,8 @@ SWEEP_CSV_HEADER = ["param1", "param2", "param3", "recall_at_1"]
 
 
 def _ringkey_variant(scan: PolarScan, suppress_bins: int, azis: int, crop_bins: int, length: int):
-    if crop_bins < 1 or crop_bins > scan.range_bin_count:
-        raise ArgumentError(f"crop bins {crop_bins} outside [1, {scan.range_bin_count}]")
-    if azis < 1 or scan.azimuth_count % azis != 0:
+    bounded_int("crop bins", crop_bins, 1, scan.range_bin_count)
+    if scan.azimuth_count % bounded_int("azimuth rows", azis, 1) != 0:
         raise ArgumentError(f"azimuth count {scan.azimuth_count} not divisible by {azis}")
     power = scan.power[:: scan.azimuth_count // azis, :crop_bins]
     reduced = PolarScan(power, scan.range_resolution_m, scan.timestamp_ns, scan.id)

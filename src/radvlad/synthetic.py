@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._files import ingesting, read_csv_rows, write_csv_rows
-from .errors import ArgumentError, finite_positive
+from .errors import ArgumentError, bounded_int, finite_positive
 from .scans import PolarScan, Trajectory, TrajectoryPoses
 
 # Offset between per-place scene seeds inside a world; worlds with seeds
@@ -64,11 +64,9 @@ class SensorPose:
 
 def generate_scene(n_reflectors: int, extent_m: float, seed: int) -> ReflectorScene:
     """Draw reflectors uniformly in the square, intensities in (0, 1]."""
-    if n_reflectors < 0:
-        raise ArgumentError("n_reflectors must be >= 0")
+    bounded_int("n_reflectors", n_reflectors, 0)
     extent_m = finite_positive("extent_m", extent_m)
-    if seed < 0:
-        raise ArgumentError(f"seed must be >= 0, got {seed}")
+    bounded_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     positions = rng.uniform(-extent_m, extent_m, size=(n_reflectors, 2))
     intensities = 1.0 - rng.uniform(0.0, 1.0, size=n_reflectors)
@@ -90,8 +88,7 @@ class WorldConfig:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.n_places < 1:
-            raise ArgumentError(f"n_places must be >= 1, got {self.n_places}")
+        bounded_int("n_places", self.n_places, 1)
 
 
 def render_polar(
@@ -113,8 +110,8 @@ def render_polar(
     (an int or a sequence of ints), is then added, and power is clipped
     to [0, 1].
     """
-    if n_azimuths < 1 or n_bins < 1:
-        raise ArgumentError("n_azimuths and n_bins must be >= 1")
+    bounded_int("n_azimuths", n_azimuths, 1)
+    bounded_int("n_bins", n_bins, 1)
     resolution = finite_positive("max_range_m", max_range_m) / n_bins
     beam_sigma_bins = finite_positive("beam_sigma_bins", beam_sigma_bins)
     noise_sigma = finite_positive("noise_sigma", noise_sigma, zero_ok=True)
@@ -178,8 +175,7 @@ class PlaceWorld:
     """
 
     def __init__(self, seed: int, cfg: WorldConfig = WorldConfig()):
-        if seed < 0:
-            raise ArgumentError(f"seed must be >= 0, got {seed}")
+        bounded_int("seed", seed, 0)
         self.seed = seed
         self.cfg = cfg
         self.scenes = [

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -7,20 +8,37 @@ from radvlad import (
     ArgumentError,
     CartesianScan,
     Codebook,
+    DistanceMatrix,
     GroundTruthMatrix,
+    PlaceWorld,
     PolarScan,
     RaplaceConfig,
     RasterLayoutConfig,
     ReflectorScene,
     RunConfig,
     SensorPose,
+    VladDescriptor,
+    WorldConfig,
+    bench_timings,
     build_run_config,
+    downsample_trajectory,
     fit_kmeans_pp,
     generate_scene,
     parse_config_file,
     polar_to_cartesian,
+    radon_sinogram,
+    recall_at_n,
     render_polar,
+    resample_range,
 )
+from radvlad.evaluate import encode_trajectory
+from radvlad.sweep import _ringkey_variant
+
+LAYOUT = {"rows": 1, "header_bytes_per_row": 0, "payload_bins": 1}
+# The lowest valid value of each integer field whose bound is not 1.
+INT_LOWS = {"suppress_bins": 0, "kmeans_seed": 0, "header_bytes_per_row": 0, "width_px": 2}
+SCAN = PolarScan(np.ones((4, 8)), 1.0)
+ROWS = np.random.default_rng(0).random((6, 2))
 
 
 class TestDefaults:
@@ -117,6 +135,11 @@ class TestConfigFile:
         cfg = build_run_config({"raplace.n_angles": "48"})
         assert cfg.raplace.angles == 48
 
+    @pytest.mark.parametrize("value", [2.5, float("nan"), True])
+    def test_a_given_int_is_checked_not_converted(self, value):
+        with pytest.raises(ArgumentError, match="^k must be an integer >= 1"):
+            build_run_config(overrides={"k": value})
+
     def test_raplace_n_angles_none_is_the_width(self):
         cfg = build_run_config({"raplace.n_angles": "none", "raplace.width_px": "64"}, {"raplace.n_angles": None})
         assert cfg.raplace.n_angles is None and cfg.raplace.angles == 64
@@ -128,7 +151,7 @@ class TestValidValues:
 
     @pytest.mark.parametrize(
         "config, required",
-        [(RunConfig, {}), (RaplaceConfig, {}), (RasterLayoutConfig, {"rows": 1, "header_bytes_per_row": 0, "payload_bins": 1})],
+        [(RunConfig, {}), (RaplaceConfig, {}), (RasterLayoutConfig, LAYOUT)],
         ids=["RunConfig", "RaplaceConfig", "RasterLayoutConfig"],
     )
     def test_every_float_field_rejects_nan_and_infinities(self, config, required):
@@ -137,7 +160,7 @@ class TestValidValues:
         for name in float_fields:
             for value in (float("nan"), float("inf"), float("-inf")):
                 with pytest.raises(ArgumentError, match=name):
-                    config(**required, **{name: value})
+                    config(**{**required, name: value})
 
     @pytest.mark.parametrize(
         "make",
@@ -162,3 +185,73 @@ class TestValidValues:
     def test_scalar_guards_reject_nan_and_infinity(self, make, bad):
         with pytest.raises(ArgumentError, match="must be finite"):
             make(bad)
+
+
+class TestValidCounts:
+    """Every integer setting and argument is an integer, not a bool, within
+    its bounds; NaN fails every comparison, so a check written as ``n < 1``
+    passes it, and a float such as 2.5 passes it too."""
+
+    @pytest.mark.parametrize(
+        "config, required, names",
+        [(RunConfig, {}, None), (RaplaceConfig, {}, None), (RasterLayoutConfig, LAYOUT, None),
+         (WorldConfig, {}, ["n_places"])],
+        ids=["RunConfig", "RaplaceConfig", "RasterLayoutConfig", "WorldConfig"],
+    )
+    def test_every_int_field_rejects_nan_floats_bools_and_values_below_its_bound(self, config, required, names):
+        int_fields = names or [f.name for f in fields(config) if f.type in ("int", "int | None")]
+        assert int_fields
+        for name in int_fields:
+            low = INT_LOWS.get(name, 1)
+            for value in (float("nan"), 2.5, True, low - 1):
+                with pytest.raises(ArgumentError, match=rf"^(raplace\.)?{name} must be"):
+                    config(**{**required, name: value})
+            assert getattr(config(**{**required, name: np.int64(low)}), name) == low
+
+    @pytest.mark.parametrize(
+        "name, low, make",
+        [
+            ("k", 1, lambda bad: fit_kmeans_pp(ROWS, bad)),
+            ("max_iter", 1, lambda bad: fit_kmeans_pp(ROWS, 2, max_iter=bad)),
+            ("seed", 0, lambda bad: fit_kmeans_pp(ROWS, 2, seed=bad)),
+            ("n_angles", 1, lambda bad: radon_sinogram(CartesianScan(np.zeros((4, 4)), 1.0), bad)),
+            ("k", 1, lambda bad: VladDescriptor(np.ones(4), bad, 4)),
+            ("w", 1, lambda bad: VladDescriptor(np.ones(4), 4, bad)),
+            ("stride", 1, lambda bad: downsample_trajectory([SCAN], bad)),
+            ("n_max", 1, lambda bad: recall_at_n(
+                DistanceMatrix(np.zeros((1, 1))), GroundTruthMatrix(np.ones((1, 1), dtype=bool), 1.0), bad)),
+            ("repetitions", 0, lambda bad: bench_timings("ringkey", [SCAN], bad)),
+            ("jobs", 1, lambda bad: encode_trajectory([SCAN], "ringkey", RunConfig(), jobs=bad)),
+            ("target_bins", 1, lambda bad: resample_range(SCAN, bad)),
+            ("suppress_bins", 0, lambda bad: resample_range(SCAN, 4, bad)),
+            ("width_px", 2, lambda bad: polar_to_cartesian(SCAN, bad, 1.0)),
+            ("crop bins", 1, lambda bad: _ringkey_variant(SCAN, 0, 4, bad, 4)),
+            ("azimuth rows", 1, lambda bad: _ringkey_variant(SCAN, 0, bad, 8, 4)),
+            ("n_reflectors", 0, lambda bad: generate_scene(bad, 10.0, 0)),
+            ("seed", 0, lambda bad: generate_scene(3, 10.0, bad)),
+            ("n_azimuths", 1, lambda bad: render_polar(generate_scene(3, 10.0, 0), SensorPose(0, 0), n_azimuths=bad)),
+            ("n_bins", 1, lambda bad: render_polar(generate_scene(3, 10.0, 0), SensorPose(0, 0), n_bins=bad)),
+            ("seed", 0, lambda bad: PlaceWorld(bad, WorldConfig(n_places=1))),
+        ],
+        ids=[
+            "kmeans_k", "kmeans_max_iter", "kmeans_seed", "radon_n_angles", "vlad_k", "vlad_w", "downsample_stride",
+            "recall_n_max", "bench_repetitions", "encode_jobs", "resample_target_bins", "resample_suppress_bins",
+            "cartesian_width_px", "ringkey_crop_bins", "ringkey_azimuth_rows", "scene_reflectors", "scene_seed",
+            "render_azimuths", "render_bins", "world_seed",
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["nan", "float", "bool", "below"])
+    def test_scalar_guards_reject_nan_floats_bools_and_values_below_the_bound(self, name, low, make, kind):
+        bad = {"nan": float("nan"), "float": 2.5, "bool": True, "below": low - 1}[kind]
+        with pytest.raises(ArgumentError, match=f"^{re.escape(name)} must be"):
+            make(bad)
+
+    def test_suppress_bins_above_the_width_rejected(self):
+        with pytest.raises(ArgumentError, match=r"^suppress_bins must be in \[0, 8\], got 9"):
+            resample_range(SCAN, 4, 9)
+
+    def test_numpy_integers_accepted(self):
+        assert RunConfig(k=np.int64(4), suppress_bins=np.uint8(0)).k == 4
+        assert resample_range(SCAN, np.int64(4), np.int32(1)).range_bin_count == 4
+        assert fit_kmeans_pp(ROWS, np.int64(2), seed=np.int64(0), max_iter=np.int16(3)).k == 2
+        assert len(downsample_trajectory([SCAN] * 5, np.int64(2))) == 3

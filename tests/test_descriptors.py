@@ -151,7 +151,7 @@ class TestVlad:
 
     @pytest.mark.parametrize(
         "k, w, size, reason",
-        [(0, 4, 4, "got k=0, w=4"), (2, 0, 4, "got k=2, w=0"), (2, 3, 5, r"length 5 != k\*w = 6")],
+        [(0, 4, 4, "k must be >= 1, got 0"), (2, 0, 4, "w must be >= 1, got 0"), (2, 3, 5, r"length 5 != k\*w = 6")],
         ids=["k_below_1", "w_below_1", "length_not_k_times_w"],
     )
     def test_bad_dimensions_rejected(self, k, w, size, reason):

@@ -92,9 +92,9 @@ class TestRawIngestion:
     @pytest.mark.parametrize(
         "layout, reason",
         [
-            ({"rows": 0, "header_bytes_per_row": 0, "payload_bins": 4}, "dimensions"),
-            ({"rows": 2, "header_bytes_per_row": -1, "payload_bins": 4}, "dimensions"),
-            ({"rows": 2, "header_bytes_per_row": 0, "payload_bins": 0}, "dimensions"),
+            ({"rows": 0, "header_bytes_per_row": 0, "payload_bins": 4}, "rows must be >= 1, got 0"),
+            ({"rows": 2, "header_bytes_per_row": -1, "payload_bins": 4}, "header_bytes_per_row must be >= 0, got -1"),
+            ({"rows": 2, "header_bytes_per_row": 0, "payload_bins": 0}, "payload_bins must be >= 1, got 0"),
             ({"rows": 2, "header_bytes_per_row": 0, "payload_bins": 4, "sample_encoding": "u16"}, "sample_encoding"),
         ],
         ids=["no_rows", "negative_header", "no_bins", "unknown_encoding"],

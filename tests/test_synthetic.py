@@ -66,7 +66,7 @@ class TestSceneChecks:
 
     @pytest.mark.parametrize("shape", [{"n_azimuths": 0}, {"n_bins": 0}])
     def test_empty_raster_rejected(self, shape):
-        with pytest.raises(ArgumentError, match="n_azimuths and n_bins"):
+        with pytest.raises(ArgumentError, match=f"{next(iter(shape))} must be >= 1, got 0"):
             render_polar(generate_scene(3, 10.0, seed=0), SensorPose(0.0, 0.0), **shape)
 
 
