@@ -15,7 +15,9 @@ from pathlib import Path
 
 from . import runs, sweep
 from .codebook import load_codebook, save_codebook
-from .config import METHODS, RunConfig, build_run_config, config_keys, parse_config_file
+from .config import (
+    METHOD_RAPLACE, METHOD_RINGKEY, METHODS, build_run_config, config_fields, parse_config_file, setting_type
+)
 from .descriptors import save_descriptor
 from .errors import ArgumentError, IngestError, NumericError
 from .evaluate import (
@@ -54,36 +56,22 @@ def _add_jobs_flag(parser) -> None:
 def _add_config_flags(parser, include_method: bool = True) -> None:
     group = parser.add_argument_group("run configuration (flags override --config file values)")
     group.add_argument("--config", metavar="FILE", help="'key = value' config file with # comments")
-    cfg = RunConfig()
-
-    def setting(flag: str, text: str, default, **kind) -> None:
-        shown = f"{default:g}" if isinstance(default, float) else default
-        group.add_argument(flag, help=f"{text} (default: {shown})", **kind)
-
-    if include_method:
-        setting("--method", "place descriptor method", cfg.method, choices=METHODS)
-    setting("--suppress-bins", "near-range bins zeroed before resampling", cfg.suppress_bins, type=int)
-    setting("--target-bins", "range bins after resampling", cfg.target_bins, type=int)
-    setting("--k", "codebook cluster count", cfg.k, type=int)
-    setting("--kmeans-tol", "relative inertia decrease to stop", cfg.kmeans_tol, type=float)
-    setting("--kmeans-seed", "codebook seeding RNG seed", cfg.kmeans_seed, type=int)
-    setting("--kmeans-max-iter", "iteration cap for clustering", cfg.kmeans_max_iter, type=int)
-    setting("--stride", "keep every stride-th scan", cfg.stride, type=int)
-    setting("--threshold-m", "ground-truth match gate in metres", cfg.threshold_m, type=float)
-    setting("--n-max", "largest N in the Recall@N curve", cfg.n_max, type=int)
-    setting(
-        "--vlad-l2-normalize", "L2-normalise aggregated descriptors", "on" if cfg.vlad_l2_normalize else "off",
-        action=argparse.BooleanOptionalAction,
-    )
-    setting("--raplace-width-px", "Cartesian grid side in pixels", cfg.raplace.width_px, type=int)
-    setting("--raplace-resolution-m", "Cartesian metres per pixel", cfg.raplace.resolution_m, type=float)
-    setting("--raplace-scale-pct", "sinogram radial downscale percent", cfg.raplace.scale_pct, type=float)
-    group.add_argument("--raplace-n-angles", type=int, help="sinogram projection angles (default: width_px)")
+    for key, setting in config_fields().items():
+        if key == "method" and not include_method:
+            continue
+        kind, shown = setting_type(setting.type), setting.metadata.get("shown", setting.default)
+        if kind is bool:
+            options, shown = {"action": argparse.BooleanOptionalAction}, "on" if shown else "off"
+        else:
+            options = {"choices": METHODS} if key == "method" else {"type": kind}
+            shown = f"{shown:g}" if isinstance(shown, float) else shown
+        flag = "--" + key.replace(".", "-").replace("_", "-")
+        group.add_argument(flag, help=f"{setting.metadata['help']} (default: {shown})", **options)
 
 
 def _config_from_args(args):
     file_values = parse_config_file(args.config) if getattr(args, "config", None) else None
-    overrides = {key: getattr(args, key.replace(".", "_")) for key in config_keys()}
+    overrides = {key: getattr(args, key.replace(".", "_")) for key in config_fields()}
     return build_run_config(file_values, overrides)
 
 
@@ -187,7 +175,7 @@ def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     query = runs.load_trajectory(args.query)
     ref = runs.load_trajectory(args.ref)
-    if args.method == "ringkey":
+    if args.method == METHOD_RINGKEY:
         rows = sweep.sweep_ringkey(query, ref, cfg, args.azis, args.bins, args.lengths, jobs=args.jobs)
     else:
         rows = sweep.sweep_raplace(query, ref, cfg, args.scales, args.resolutions, args.widths, jobs=args.jobs)
@@ -276,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_localize)
 
     p = sub.add_parser("sweep", help="grid-sweep baseline settings, one Recall@1 row per point")
-    p.add_argument("--method", choices=("ringkey", "raplace"), required=True)
+    p.add_argument("--method", choices=(METHOD_RINGKEY, METHOD_RAPLACE), required=True)
     p.add_argument("--query", required=True, help="query run directory")
     p.add_argument("--ref", required=True, help="reference run directory")
     p.add_argument("--out", required=True, help="output CSV path")

@@ -26,10 +26,10 @@ class RaplaceConfig:
     """Settings of the sinogram-spectrum encoder; errors name each by its
     config key (``raplace.width_px``)."""
 
-    width_px: int = 256
-    resolution_m: float = 1.2717
-    scale_pct: float = 25.0
-    n_angles: int | None = None
+    width_px: int = field(default=256, metadata={"help": "Cartesian grid side in pixels"})
+    resolution_m: float = field(default=1.2717, metadata={"help": "Cartesian metres per pixel"})
+    scale_pct: float = field(default=25.0, metadata={"help": "sinogram radial downscale percent"})
+    n_angles: int | None = field(default=None, metadata={"help": "sinogram projection angles", "shown": "width_px"})
 
     def __post_init__(self):
         if bounded_int("raplace.width_px", self.width_px, 2) % 2 != 0:
@@ -44,19 +44,19 @@ class RaplaceConfig:
         return self.n_angles if self.n_angles is not None else self.width_px
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    method: str = METHOD_FFT_RADVLAD
-    suppress_bins: int = 60
-    target_bins: int = 512
-    k: int = 64
-    kmeans_tol: float = 1e-4
-    kmeans_seed: int = 0
-    kmeans_max_iter: int = 300
-    stride: int = 10
-    threshold_m: float = 25.0
-    n_max: int = 50
-    vlad_l2_normalize: bool = False
+    method: str = field(default=METHOD_FFT_RADVLAD, metadata={"help": "place descriptor method"})
+    suppress_bins: int = field(default=60, metadata={"help": "near-range bins zeroed before resampling"})
+    target_bins: int = field(default=512, metadata={"help": "range bins after resampling"})
+    k: int = field(default=64, metadata={"help": "codebook cluster count"})
+    kmeans_tol: float = field(default=1e-4, metadata={"help": "relative inertia decrease to stop"})
+    kmeans_seed: int = field(default=0, metadata={"help": "codebook seeding RNG seed"})
+    kmeans_max_iter: int = field(default=300, metadata={"help": "iteration cap for clustering"})
+    stride: int = field(default=10, metadata={"help": "keep every stride-th scan"})
+    threshold_m: float = field(default=25.0, metadata={"help": "ground-truth match gate in metres"})
+    n_max: int = field(default=50, metadata={"help": "largest N in the Recall@N curve"})
+    vlad_l2_normalize: bool = field(default=False, metadata={"help": "L2-normalise aggregated descriptors"})
     raplace: RaplaceConfig = field(default_factory=RaplaceConfig)
 
     def __post_init__(self):
@@ -90,18 +90,28 @@ _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": Fals
 _TYPES = {"str": str, "int": int, "float": float, "bool": bool}
 
 
-def config_keys() -> dict:
-    """Every config key mapped to its field's annotation; the ``raplace``
-    settings are nested under dotted keys (``raplace.width_px``)."""
-    keys = {f.name: f.type for f in fields(RunConfig) if f.name != "raplace"}
-    keys.update({f"raplace.{f.name}": f.type for f in fields(RaplaceConfig)})
+def config_fields() -> dict:
+    """Every config key mapped to its field, whose metadata holds its flag's
+    help text; ``raplace`` settings take dotted keys (``raplace.width_px``)."""
+    keys = {f.name: f for f in fields(RunConfig) if f.name != "raplace"}
+    keys.update({f"raplace.{f.name}": f for f in fields(RaplaceConfig)})
     return keys
+
+
+def config_keys() -> dict:
+    """Every config key mapped to its field's annotation."""
+    return {key: f.type for key, f in config_fields().items()}
+
+
+def setting_type(annotation: str) -> type:
+    """The value type of a config field's annotation (``int | None`` -> int)."""
+    return _TYPES[annotation.removesuffix(" | None")]
 
 
 def _convert(name: str, value, annotation: str):
     if annotation.endswith(" | None") and value in (None, "", "none"):
         return None
-    target_type = _TYPES[annotation.removesuffix(" | None")]
+    target_type = setting_type(annotation)
     if isinstance(value, str):
         if target_type is bool:
             try:

@@ -217,9 +217,9 @@ class PlaceWorld:
 
     def rotated_query_trajectory(self, trials: int, seed: int) -> Trajectory:
         """Queries cycling through the places with random integer-step headings."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(bounded_int("seed", seed, 0))
         places, poses = [], []
-        for t in range(trials):
+        for t in range(bounded_int("trials", trials, 1)):
             places.append(t % self.cfg.n_places)
             step = int(rng.integers(self.cfg.n_azimuths))
             poses.append(SensorPose(0.0, 0.0, 2.0 * np.pi * step / self.cfg.n_azimuths))
@@ -230,7 +230,7 @@ class PlaceWorld:
         low, high = (finite_positive("translation bounds", bound, zero_ok=True) for bound in (min_m, max_m))
         if low > high:
             raise ArgumentError(f"translation bounds must satisfy 0 <= min <= max, got {min_m} and {max_m}")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(bounded_int("seed", seed, 0))
         places, poses = [], []
         for place in range(self.cfg.n_places):
             magnitude = rng.uniform(min_m, max_m)

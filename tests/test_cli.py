@@ -1,14 +1,20 @@
 import hashlib
 import inspect
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import radvlad
 from radvlad import RasterLayoutConfig, RunConfig, WorldConfig, load_codebook
 from radvlad import cli, scenarios
 from radvlad.cli import build_parser, main
-from radvlad.config import METHODS
+from radvlad.config import METHODS, config_fields
 from radvlad.runs import write_trajectory
 from radvlad.synthetic import PlaceWorld
 
@@ -118,6 +124,31 @@ class TestHelp:
             default = f"{default:g}" if isinstance(default, float) else str(default)
             assert helps[flag].endswith(f"(default: {default})"), (flag, helps[flag])
             assert " ".join(helps[flag].split()) in flat
+
+
+def test_every_config_field_has_help_that_its_flag_shows(capsys):
+    with pytest.raises(SystemExit):
+        main(["localize", "--help"])
+    flat = " ".join(capsys.readouterr().out.split())
+    localize = build_parser()._subparsers._group_actions[0].choices["localize"]
+    helps = {action.dest: action.help for action in localize._actions}
+    for key, setting in config_fields().items():
+        text = setting.metadata.get("help")
+        assert text, f"config field {key!r} has no help text"
+        shown = helps[key.replace(".", "_")]
+        assert re.fullmatch(rf"{re.escape(text)} \(default: [^)]+\)", shown), key
+        assert shown in flat
+
+
+def test_module_entry_point_prints_the_parsers_help(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(Path(radvlad.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "radvlad.cli", "localize", "--help"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    localize = build_parser()._subparsers._group_actions[0].choices["localize"]
+    assert done.stdout == localize.format_help()
 
 
 def test_config_flags_match_config_keys():
@@ -487,6 +518,7 @@ def test_negative_seed_exits_1_without_traceback(synth_pair, tmp_path, capsys, c
         (["--scenario", "self", "--places", "-1"], "n_places"),
         (["--scenario", "translation", "--places", "2", "--translate-min", "5", "--translate-max", "1"], "translation bounds"),
         (["--scenario", "translation", "--places", "2", "--translate-min", "-1"], "translation bounds"),
+        (["--scenario", "rotation", "--places", "2", "--trials", "-1"], "trials"),
     ],
 )
 def test_bad_synth_world_exits_1_without_traceback(tmp_path, capsys, flags, word):

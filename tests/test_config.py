@@ -1,5 +1,5 @@
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -59,6 +59,20 @@ class TestDefaults:
         assert cfg.raplace.resolution_m == pytest.approx(1.2717)
         assert cfg.raplace.scale_pct == 25.0
         assert cfg.raplace.angles == 256
+
+    @pytest.mark.parametrize("config", [RunConfig, RaplaceConfig])
+    def test_fields_cannot_be_assigned_after_the_checks(self, config):
+        cfg = config()
+        for setting in fields(config):
+            with pytest.raises(FrozenInstanceError):
+                setattr(cfg, setting.name, float("nan"))
+        assert cfg == config()
+
+    def test_class_attributes_read_the_defaults(self):
+        cfg = RunConfig()
+        for setting in fields(RunConfig):
+            if setting.name != "raplace":
+                assert getattr(RunConfig, setting.name) == getattr(cfg, setting.name)
 
     def test_invalid_method_rejected(self):
         with pytest.raises(ArgumentError):
@@ -232,12 +246,15 @@ class TestValidCounts:
             ("n_azimuths", 1, lambda bad: render_polar(generate_scene(3, 10.0, 0), SensorPose(0, 0), n_azimuths=bad)),
             ("n_bins", 1, lambda bad: render_polar(generate_scene(3, 10.0, 0), SensorPose(0, 0), n_bins=bad)),
             ("seed", 0, lambda bad: PlaceWorld(bad, WorldConfig(n_places=1))),
+            ("trials", 1, lambda bad: PlaceWorld(0, WorldConfig(n_places=1)).rotated_query_trajectory(bad, 0)),
+            ("seed", 0, lambda bad: PlaceWorld(0, WorldConfig(n_places=1)).rotated_query_trajectory(1, bad)),
+            ("seed", 0, lambda bad: PlaceWorld(0, WorldConfig(n_places=1)).translated_query_trajectory(1.0, 2.0, bad)),
         ],
         ids=[
             "kmeans_k", "kmeans_max_iter", "kmeans_seed", "radon_n_angles", "vlad_k", "vlad_w", "downsample_stride",
             "recall_n_max", "bench_repetitions", "encode_jobs", "resample_target_bins", "resample_suppress_bins",
             "cartesian_width_px", "ringkey_crop_bins", "ringkey_azimuth_rows", "scene_reflectors", "scene_seed",
-            "render_azimuths", "render_bins", "world_seed",
+            "render_azimuths", "render_bins", "world_seed", "rotated_trials", "rotated_seed", "translated_seed",
         ],
     )
     @pytest.mark.parametrize("kind", ["nan", "float", "bool", "below"])
