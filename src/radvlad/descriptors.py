@@ -24,6 +24,7 @@ from .codebook import Codebook, cluster_sums, nearest_centre_labels
 from .config import RaplaceConfig
 from .errors import ArgumentError, IngestError, bounded_int, finite_array
 from .scans import CartesianScan, PolarScan, linear_resample_columns, polar_to_cartesian
+from .spectral import unfold_half_spectrum
 
 DESC_MAGIC = b"DESC"
 KIND_RINGKEY = 0
@@ -47,8 +48,8 @@ class VladDescriptor:
     w: int
     # When the package made this descriptor from its k sections folded onto
     # w//2+1 columns each (``spectral.fold_half_spectrum``), that read-only
-    # row, with ``values`` read-only too; else None. Set only by
-    # ``radvlad.evaluate``, whose maps stack the row.
+    # row; else None. Such a descriptor is made by ``_of_folded`` and holds
+    # only the row until ``values`` is first read (``__getattr__``).
     _folded: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -56,6 +57,27 @@ class VladDescriptor:
         if values.size != bounded_int("k", self.k, 1) * bounded_int("w", self.w, 1):
             raise ArgumentError(f"vlad length {values.size} != k*w = {self.k * self.w}")
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _of_folded(cls, folded: np.ndarray, k: int, w: int) -> "VladDescriptor":
+        """The k x w descriptor whose sections fold to the read-only,
+        already checked row ``folded``. Only ``radvlad.evaluate`` calls
+        this, with rows its encoder or a map's stack made."""
+        descriptor = object.__new__(cls)
+        for name, value in (("k", k), ("w", w), ("_folded", folded)):
+            object.__setattr__(descriptor, name, value)
+        return descriptor
+
+    def __getattr__(self, name):
+        """``values`` of a descriptor made by ``_of_folded``: its row
+        unfolded to full width on first read, then kept, read-only."""
+        folded = self.__dict__.get("_folded") if name == "values" else None
+        if folded is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values = unfold_half_spectrum(folded.reshape(self.k, -1), self.w).reshape(-1)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        return values
 
 
 @dataclass(frozen=True)

@@ -199,12 +199,14 @@ class Method:
     """One method, prepared: every choice that depends on which method runs
     is made here, once, from ``(name, cfg, codebook)``: the per-azimuth
     ``rows`` a residual method clusters and aggregates (``width`` columns;
-    None for the methods without a codebook), ``fit``, the per-scan
-    ``encode``, the ``descriptor_class`` and ``field`` a ``PlaceMap``
-    stacks, whether it ``folds`` them, the map kernel ``match`` and the
-    descriptor-pair ``compare``.
-    ``cfg`` defaults to the method's ``RunConfig``. The stages it runs are
-    looked up in this module's globals when they run, not when it is built.
+    None for the methods without a codebook; for ``fft_radvlad`` the
+    folded half spectrum, ``SpectralScan.folded``, with no full-width
+    spectrum built), ``fit``, the per-scan ``encode``, the
+    ``descriptor_class`` and ``field`` a ``PlaceMap`` stacks, whether it
+    ``folds`` them, the map kernel ``match`` and the descriptor-pair
+    ``compare``. ``cfg`` defaults to the method's ``RunConfig``. The stages
+    it runs are looked up in this module's globals when they run, not when
+    it is built.
     """
 
     def __init__(self, name: str, cfg: RunConfig | None = None, codebook: Codebook | None = None):
@@ -229,9 +231,7 @@ class Method:
             if codebook is not None:
                 self.encode = lambda scan: encode_vlad(rows(scan), codebook, l2_normalize=cfg.vlad_l2_normalize)
         else:
-            self.rows = rows = lambda scan: fold_half_spectrum(
-                radial_fft_magnitude(preprocess_scan(scan, cfg)).magnitude
-            )
+            self.rows = rows = lambda scan: radial_fft_magnitude(preprocess_scan(scan, cfg)).folded
             self.width, self.folds = cfg.target_bins // 2 + 1, True
             if codebook is not None:
                 self.encode = _folded_encoder(rows, codebook, cfg)
@@ -268,18 +268,17 @@ class Method:
         """The row a map stacks of ``descriptor``, which must be of this
         method's class: its array, or, when the method ``folds``, each of
         its k sections folded onto its W//2+1 leading columns. A descriptor
-        this module made from that row (``_unfolded``) gives it back as
-        kept; any other is folded here. The fold keeps every distance only
-        between mirror-symmetric sections, so other sections are an
-        ``ArgumentError``."""
+        this module made from that row (``VladDescriptor._of_folded``) gives
+        it back as kept; any other is folded here. The fold keeps every
+        distance only between mirror-symmetric sections, so other sections
+        are an ``ArgumentError``."""
         if not isinstance(descriptor, self.descriptor_class):
             raise ArgumentError(f"{self.name} takes {self.descriptor_class.__name__}, not {type(descriptor).__name__}")
-        array = getattr(descriptor, self.field)
         if not self.folds:
-            return array
+            return getattr(descriptor, self.field)
         if descriptor._folded is not None:
             return descriptor._folded
-        sections = array.reshape(descriptor.k, descriptor.w)
+        sections = descriptor.values.reshape(descriptor.k, descriptor.w)
         if not is_mirror_symmetric(sections):
             raise ArgumentError(f"{self.name} takes descriptors whose sections are mirror-symmetric")
         return fold_half_spectrum(sections).reshape(-1)
@@ -311,21 +310,23 @@ class Method:
 
     def descriptor_of(self, row: np.ndarray, layout: tuple):
         """The descriptor of ``layout`` whose ``array_of`` is the read-only
-        ``row``; its array is read-only too."""
+        ``row``; its array is read-only too. A folded row is kept, not
+        unfolded, until the descriptor's ``values`` are read."""
         if self.descriptor_class is not VladDescriptor:
             return self.descriptor_class(row)
         k, w = layout
         if self.folds:
-            return _unfolded(row, k, w)
+            return VladDescriptor._of_folded(row, k, w)
         return VladDescriptor(row, k, w)
 
 
 def _folded_encoder(rows, codebook: Codebook, cfg: RunConfig):
     """``fft_radvlad``'s encode. Radial spectra are labelled and aggregated
     folded, against the codebook's folded centres (``Codebook.folded``,
-    built once per codebook); the k x (W//2+1) residual unfolds to the
-    k x W descriptor, which keeps it. That needs a codebook as wide as the
-    spectra, whose centres are spectra themselves."""
+    built once per codebook); the k x (W//2+1) residual is kept as the
+    k x W descriptor's folded row, which unfolds only when its ``values``
+    are read. That needs a codebook as wide as the spectra, whose centres
+    are spectra themselves."""
     if codebook.width != cfg.target_bins:
         raise ArgumentError(
             f"{METHOD_FFT_RADVLAD} needs a codebook of width target_bins = {cfg.target_bins}, got {codebook.width}"
@@ -334,19 +335,9 @@ def _folded_encoder(rows, codebook: Codebook, cfg: RunConfig):
 
     def encode(scan):
         half = encode_vlad(rows(scan), folded, l2_normalize=cfg.vlad_l2_normalize)
-        return _unfolded(_frozen(half.values), k, width)
+        return VladDescriptor._of_folded(_frozen(half.values), k, width)
 
     return encode
-
-
-def _unfolded(half: np.ndarray, k: int, w: int) -> VladDescriptor:
-    """The read-only k x w descriptor whose sections fold to ``half``, and
-    which keeps ``half`` for ``Method.array_of``. ``half`` is a read-only
-    row of k folded sections that is already checked: an ``encode_vlad``
-    output or a row of a map's stack."""
-    descriptor = VladDescriptor(_frozen(unfold_half_spectrum(half.reshape(k, -1), w).reshape(-1)), k, w)
-    object.__setattr__(descriptor, "_folded", half)
-    return descriptor
 
 
 def fit_method_codebook(ref_scans, method: str, cfg: RunConfig) -> Codebook:

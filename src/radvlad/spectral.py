@@ -10,11 +10,12 @@ shifts of the row.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, NumericError, finite_array
+from .errors import ArgumentError, NumericError, bounded_int, finite_array
 from .scans import PolarScan
 
 _SQRT2 = np.sqrt(2.0)
@@ -22,34 +23,49 @@ _SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class SpectralScan:
-    """Per-azimuth radial DFT magnitudes; same shape as the source scan."""
+    """Per-azimuth radial DFT magnitudes of a scan ``width`` range bins wide.
 
-    magnitude: np.ndarray
+    Rows are real, so |F(W - rho)| = |F(rho)| and the half spectrum
+    rho = 0..W//2 (``half``, W//2+1 columns) holds all of it. ``magnitude``
+    is the full-width mirror image and ``folded`` the half folded as
+    ``fold_half_spectrum`` folds it; each is built on first read and kept.
+    """
+
+    half: np.ndarray
+    width: int
 
     def __post_init__(self):
-        object.__setattr__(self, "magnitude", finite_array("magnitude", self.magnitude, 2, non_negative=True))
+        half = finite_array("magnitude", self.half, 2, non_negative=True)
+        if half.shape[1] != bounded_int("width", self.width, 1) // 2 + 1:
+            raise ArgumentError(f"{half.shape[1]} half-spectrum columns do not fit width {self.width}")
+        object.__setattr__(self, "half", half)
+
+    @functools.cached_property
+    def magnitude(self) -> np.ndarray:
+        magnitude = np.empty((len(self.half), self.width))
+        magnitude[:, : self.width // 2 + 1] = self.half
+        return _mirror_upper_half(magnitude)
+
+    @functools.cached_property
+    def folded(self) -> np.ndarray:
+        return self.half * _fold_weights(self.width)
 
     @property
     def azimuth_count(self) -> int:
-        return self.magnitude.shape[0]
+        return self.half.shape[0]
 
     @property
     def bin_count(self) -> int:
-        return self.magnitude.shape[1]
+        return self.width
 
 
 def radial_fft_magnitude(scan: PolarScan) -> SpectralScan:
-    """DFT magnitude of every azimuth row, via the FFT.
-
-    Rows are real, so |F(W - rho)| = |F(rho)|: only the half spectrum
-    rho = 0..W//2 is transformed, and the rest is its mirror image.
-    """
+    """DFT magnitude of every azimuth row, via the FFT: the half spectrum
+    ``np.abs(np.fft.rfft(row))``, checked once as it is wrapped."""
     power = scan.power
     if not np.isfinite(power).all():
         raise NumericError("scan power contains non-finite samples")
-    magnitude = np.empty(power.shape)
-    np.abs(np.fft.rfft(power, axis=1), out=magnitude[:, : power.shape[1] // 2 + 1])
-    return SpectralScan(_mirror_upper_half(magnitude))
+    return SpectralScan(np.abs(np.fft.rfft(power, axis=1)), power.shape[1])
 
 
 def _mirror_upper_half(rows: np.ndarray) -> np.ndarray:
@@ -66,10 +82,13 @@ def is_mirror_symmetric(rows: np.ndarray) -> bool:
     return np.array_equal(rows[..., width // 2 + 1 :], rows[..., (width - 1) // 2 : 0 : -1])
 
 
-def _paired_columns(width: int) -> slice:
-    """Columns 1..(W-1)//2 of a length-W spectrum: those with a distinct mirror
-    column. DC and, for even W, Nyquist are their own mirror images."""
-    return slice(1, (width + 1) // 2)
+def _fold_weights(width: int) -> np.ndarray:
+    """The W//2+1 column weights of the fold: sqrt(2) on columns
+    1..(W-1)//2, which have a distinct mirror column, and 1 on DC and, for
+    even W, Nyquist, which are their own mirror images."""
+    weights = np.ones(width // 2 + 1)
+    weights[1 : (width + 1) // 2] = _SQRT2
+    return weights
 
 
 def fold_half_spectrum(rows) -> np.ndarray:
@@ -83,9 +102,7 @@ def fold_half_spectrum(rows) -> np.ndarray:
     """
     rows = np.asarray(rows, dtype=np.float64)
     width = rows.shape[-1]
-    folded = rows[..., : width // 2 + 1].copy()
-    folded[..., _paired_columns(width)] *= _SQRT2
-    return folded
+    return rows[..., : width // 2 + 1] * _fold_weights(width)
 
 
 def unfold_half_spectrum(folded, width: int) -> np.ndarray:
@@ -94,8 +111,7 @@ def unfold_half_spectrum(folded, width: int) -> np.ndarray:
     if width < 1 or folded.shape[-1] != width // 2 + 1:
         raise ArgumentError(f"{folded.shape[-1]} folded columns do not unfold to width {width}")
     rows = np.empty((*folded.shape[:-1], width))
-    rows[..., : width // 2 + 1] = folded
-    rows[..., _paired_columns(width)] /= _SQRT2
+    np.divide(folded, _fold_weights(width), out=rows[..., : width // 2 + 1])
     return _mirror_upper_half(rows)
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._files import ingesting, read_csv_rows, write_csv_rows
 from .errors import ArgumentError, bounded_int, finite_positive
 from .scans import PolarScan, Trajectory, TrajectoryPoses
 
@@ -20,7 +19,6 @@ from .scans import PolarScan, Trajectory, TrajectoryPoses
 # less than this many apart still get disjoint scene seeds.
 _SCENE_SEED_STRIDE = 1_000_003
 _TIMESTAMP_STEP_NS = 1_000_000_000
-_SCENE_CSV_HEADER = ["x_m", "y_m", "intensity"]
 
 
 @dataclass(frozen=True)
@@ -148,20 +146,6 @@ def render_polar(
         power += rng.normal(0.0, noise_sigma, size=power.shape)
     np.clip(power, 0.0, 1.0, out=power)
     return PolarScan(power, resolution)
-
-
-def save_scene_csv(path, scene: ReflectorScene) -> None:
-    rows = ([repr(float(x)), repr(float(y)), repr(float(i))] for (x, y), i in zip(scene.positions, scene.intensities))
-    write_csv_rows(path, _SCENE_CSV_HEADER, rows)
-
-
-def load_scene_csv(path, extent_m: float | None = None) -> ReflectorScene:
-    rows = read_csv_rows(path, _SCENE_CSV_HEADER, lambda row: (float(row[0]), float(row[1]), float(row[2])))
-    data = np.array(rows, dtype=np.float64).reshape(-1, 3)
-    if extent_m is None:
-        extent_m = float(np.abs(data[:, :2]).max()) if len(data) else 1.0
-    with ingesting(path):
-        return ReflectorScene(data[:, :2], data[:, 2], extent_m)
 
 
 class PlaceWorld:

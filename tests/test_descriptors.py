@@ -441,7 +441,7 @@ class TestDescriptorFiles:
     [
         lambda: RaplaceDescriptor(np.zeros((0, 5))),
         lambda: CartesianScan(np.zeros((0, 0)), 1.0),
-        lambda: SpectralScan(np.zeros((0, 3))),
+        lambda: SpectralScan(np.zeros((0, 3)), 4),
         lambda: RingKeyDescriptor(np.zeros(0)),
         lambda: VladDescriptor(np.zeros(0), k=0, w=5),
         lambda: Codebook(np.zeros((3, 0)), 0.0, 0),

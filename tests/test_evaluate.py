@@ -1,3 +1,5 @@
+import pickle
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -53,7 +55,9 @@ from radvlad.evaluate import (
     write_results_csv,
 )
 from radvlad import codebook as codebook_module
+from radvlad import descriptors as descriptors_module
 from radvlad import evaluate as evaluate_module
+from radvlad import spectral as spectral_module
 from radvlad.scans import Trajectory
 from radvlad.scenarios import run_rotation_scenario, synthetic_run_config
 from radvlad.spectral import fold_half_spectrum, unfold_half_spectrum
@@ -849,6 +853,76 @@ class TestPreparedFold:
             np.vstack([distance_matrix_from_descriptors("fft_radvlad", [q], place_map).values for q in queries]),
         ):
             assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+class TestLazyUnfold:
+    """An fft_radvlad descriptor the package makes keeps only its folded row:
+    a query is encoded and matched without a full-width array, and its
+    ``values`` are unfolded once, on first read."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        world = _World(seed=8, cfg=WorldConfig(n_places=6))
+        scans = world.reference_trajectory().scans
+        cfg = synthetic_run_config(world.cfg, "fft_radvlad", k=8)
+        return scans, cfg, fit_method_codebook(scans, "fft_radvlad", cfg)
+
+    @pytest.fixture
+    def widenings(self, monkeypatch):
+        """The names of the full-width builders, in call order, wherever the package calls them."""
+        calls = []
+
+        def spy(name, fn):
+            def recorded(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return recorded
+
+        for module in (spectral_module, descriptors_module, evaluate_module):
+            monkeypatch.setattr(module, "unfold_half_spectrum", spy("unfold", unfold_half_spectrum))
+        monkeypatch.setattr(spectral_module, "_mirror_upper_half", spy("mirror", spectral_module._mirror_upper_half))
+        return calls
+
+    def test_a_query_is_encoded_and_matched_folded(self, fitted, widenings):
+        scans, cfg, codebook = fitted
+        place_map = encode_trajectory(scans, "fft_radvlad", cfg, codebook)
+        query = encode_trajectory([scans[2]], "fft_radvlad", cfg, codebook)[0]
+        row = distance_matrix_from_descriptors("fft_radvlad", [query], place_map).values[0]
+        assert widenings == []
+        assert int(np.argmin(row)) == 2
+
+    @pytest.mark.parametrize("made_by", ["encode", "map"])
+    def test_values_unfold_once_on_first_read(self, fitted, widenings, made_by):
+        scans, cfg, codebook = fitted
+        if made_by == "encode":
+            made = Method("fft_radvlad", cfg, codebook).encode(scans[1])
+        else:
+            made = encode_trajectory(scans, "fft_radvlad", cfg, codebook)[1]
+        assert widenings == [] and "values" not in vars(made)
+        first = made.values
+        assert widenings.count("unfold") == 1
+        second = made.values
+        assert second is first and widenings.count("unfold") == 1
+        want = unfold_half_spectrum(made._folded.reshape(made.k, -1), made.w).reshape(-1)
+        assert np.array_equal(first, want)
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+
+    def test_a_folded_descriptor_saves_and_copies_as_a_full_one(self, fitted, tmp_path):
+        scans, cfg, codebook = fitted
+        made = Method("fft_radvlad", cfg, codebook).encode(scans[0])
+        for copy in (pickle.loads(pickle.dumps(made)), deepcopy(made)):
+            assert np.array_equal(copy._folded, made._folded) and "values" not in vars(copy)
+            assert np.array_equal(copy.values, made.values)
+        by_hand = VladDescriptor(made.values.copy(), made.k, made.w)
+        fresh = Method("fft_radvlad", cfg, codebook).encode(scans[0])
+        save_descriptor(tmp_path / "made.desc", fresh)
+        save_descriptor(tmp_path / "by_hand.desc", by_hand)
+        assert (tmp_path / "made.desc").read_bytes() == (tmp_path / "by_hand.desc").read_bytes()
+        assert descriptor_distance(fresh, by_hand) == 0.0
+        with pytest.raises(AttributeError):
+            fresh.spectrum
 
 
 class TestBlasPin:

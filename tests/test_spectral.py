@@ -5,9 +5,12 @@ from radvlad import (
     ArgumentError,
     NumericError,
     PolarScan,
+    RunConfig,
+    SpectralScan,
     naive_dft_magnitude,
     radial_fft_magnitude,
 )
+from radvlad.evaluate import Method, preprocess_scan
 from radvlad.spectral import fold_half_spectrum, unfold_half_spectrum
 
 
@@ -140,6 +143,47 @@ class TestHalfSpectrumFold:
     def test_unfold_rejects_mismatched_width(self):
         with pytest.raises(ArgumentError):
             unfold_half_spectrum(np.zeros((2, 5)), 7)
+
+
+class TestHalfSpectrumScan:
+    """The scan keeps the half spectrum; its full-width and folded forms are
+    the mirror fill and the fold of it, bit for bit."""
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_magnitude_and_folded_are_exact(self, width):
+        power = np.random.default_rng(200 + width).random((6, width))
+        out = radial_fft_magnitude(PolarScan(power, 1.0))
+        half = np.abs(np.fft.rfft(power, axis=1))
+        full = np.empty_like(power)
+        full[:, : width // 2 + 1] = half
+        full[:, width // 2 + 1 :] = half[:, 1 : (width + 1) // 2][:, ::-1]
+        assert np.array_equal(out.half, half)
+        assert np.array_equal(out.magnitude, full)
+        assert np.array_equal(out.folded, fold_half_spectrum(out.magnitude))
+        assert out.magnitude is out.magnitude and out.folded is out.folded
+        assert (out.azimuth_count, out.bin_count) == (6, width)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_method_rows_match_the_full_width_fold(self, width):
+        scan = PolarScan(np.random.default_rng(300 + width).random((5, 1100)), 0.1)
+        cfg = RunConfig(method="fft_radvlad", target_bins=width, suppress_bins=3, k=2)
+        # The rows as they were built before the half spectrum was kept:
+        # a full-width magnitude, mirror-filled, then folded by copy and scale.
+        power = preprocess_scan(scan, cfg).power
+        magnitude = np.empty(power.shape)
+        np.abs(np.fft.rfft(power, axis=1), out=magnitude[:, : width // 2 + 1])
+        magnitude[:, width // 2 + 1 :] = magnitude[:, (width - 1) // 2 : 0 : -1]
+        want = magnitude[:, : width // 2 + 1].copy()
+        want[:, 1 : (width + 1) // 2] *= np.sqrt(2.0)
+        assert np.array_equal(Method("fft_radvlad", cfg).rows(scan), want)
+
+    def test_constructor_checks_the_half(self):
+        with pytest.raises(ArgumentError, match="do not fit width 8"):
+            SpectralScan(np.ones((2, 4)), 8)
+        with pytest.raises(ArgumentError, match="width"):
+            SpectralScan(np.ones((2, 1)), 0)
+        with pytest.raises(ArgumentError, match="non-negative"):
+            SpectralScan(-np.ones((2, 5)), 8)
 
 
 class TestErrors:

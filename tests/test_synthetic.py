@@ -6,7 +6,6 @@ from scipy.stats import spearmanr
 
 from radvlad import (
     ArgumentError,
-    IngestError,
     PlaceWorld,
     ReflectorScene,
     SensorPose,
@@ -16,7 +15,6 @@ from radvlad import (
     generate_scene,
     render_polar,
 )
-from radvlad.synthetic import load_scene_csv, save_scene_csv
 
 
 class TestGenerateScene:
@@ -138,31 +136,6 @@ class TestMonotoneDegradation:
                 averaged[i] += descriptor_distance(base, moved) / n_seeds
         rho, _ = spearmanr(magnitudes, averaged)
         assert rho >= 0.8
-
-
-class TestSceneCsv:
-    def test_roundtrip(self, tmp_path):
-        scene = generate_scene(12, 30.0, seed=4)
-        path = tmp_path / "scene.csv"
-        save_scene_csv(path, scene)
-        back = load_scene_csv(path, extent_m=30.0)
-        assert np.array_equal(back.positions, scene.positions)
-        assert np.array_equal(back.intensities, scene.intensities)
-
-    @pytest.mark.parametrize(
-        "data",
-        [
-            b"x_m,y_m,intensity\n1.0,2.0,2.0\n",
-            b"x_m,y_m,intensity\n1.0,2.0,\xe9\n",
-            b"x_m,y_m,intensity\nnan,0.0,0.5\n1.0,inf,0.5\n",
-        ],
-        ids=["intensity_above_one", "not_utf8", "non_finite_position"],
-    )
-    def test_malformed_file_rejected_naming_the_file(self, tmp_path, data):
-        path = tmp_path / "bad_scene.csv"
-        path.write_bytes(data)
-        with pytest.raises(IngestError, match="bad_scene.csv"):
-            load_scene_csv(path)
 
 
 class TestPlaceWorld:

@@ -5,7 +5,9 @@ callers look them up in. A rename or an inlined call leaves its wrapper
 unused, and the layer then reads 0 instead of failing; a traced name
 that disappears makes the tracer fail to install. This runs the set-up
 and one query of a tiny workload per method under the tracer, as the
-benchmark does, and requires a span from every layer on that path.
+benchmark does, and requires a span from every layer on that path and a
+non-zero count from every counter the query feeds, so a lean path that
+leaves a counter with nothing to read fails too.
 """
 
 import importlib
@@ -48,6 +50,12 @@ QUERY_LAYERS = {
     },
 }
 
+# Counters each method's query must move.
+QUERY_COUNTERS = {
+    METHOD_FFT_RADVLAD: {"spectral.rows", "descriptors.bytes_per_descriptor", "evaluate.pairs_compared"},
+    METHOD_RAPLACE: {"descriptors.bytes_per_descriptor", "evaluate.pairs_compared"},
+}
+
 
 @pytest.mark.parametrize("method", sorted(RUN_CONFIGS))
 def test_every_layer_on_the_path_records_a_span(method, tmp_path, monkeypatch):
@@ -73,3 +81,4 @@ def test_every_layer_on_the_path_records_a_span(method, tmp_path, monkeypatch):
     query_spans = {s.name for s in tracer.spans if s.query == 0}
     assert SETUP_LAYERS[method] - setup_spans == set()
     assert QUERY_LAYERS[method] - query_spans == set()
+    assert {name for name in QUERY_COUNTERS[method] if tracer.counts.get((tracing.QUERY, name), 0) <= 0} == set()
