@@ -89,8 +89,8 @@ class RaplaceDescriptor:
 
 
 def encode_ring_key(scan: PolarScan) -> RingKeyDescriptor:
-    """Average the scan over azimuths, one mean per range bin."""
-    return RingKeyDescriptor(scan.power.mean(axis=0))
+    """Average the scan over azimuths, one mean per range bin, summed in float64."""
+    return RingKeyDescriptor(scan.power.mean(axis=0, dtype=np.float64))
 
 
 def encode_vlad(rows, codebook: Codebook, l2_normalize: bool = False) -> VladDescriptor:

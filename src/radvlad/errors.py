@@ -46,11 +46,16 @@ def bounded_int(name: str, value, low: int, high: int | None = None) -> int:
     raise ArgumentError(f"{name} must be {'' if integral else 'an integer '}{bound}, got {value!r}")
 
 
-def finite_array(name: str, values, ndim: int, non_negative: bool = False) -> np.ndarray:
-    """``values`` as a float64 array, if it has ``ndim`` axes, at least one
-    element, and only finite (and, with ``non_negative``, no negative)
-    entries; otherwise an ``ArgumentError`` naming ``name``."""
-    array = np.asarray(values, dtype=np.float64)
+def finite_array(name: str, values, ndim: int, non_negative: bool = False, keep_float32: bool = False) -> np.ndarray:
+    """``values`` as a float64 array (or, with ``keep_float32``, a float32
+    array as it is, checked without a widened copy), if it has ``ndim``
+    axes, at least one element, and only finite (and, with
+    ``non_negative``, no negative) entries; otherwise an ``ArgumentError``
+    naming ``name``."""
+    if keep_float32 and isinstance(values, np.ndarray) and values.dtype == np.float32:
+        array = values
+    else:
+        array = np.asarray(values, dtype=np.float64)
     if array.ndim != ndim or array.size == 0:
         raise ArgumentError(f"{name} must be a non-empty {ndim}-D array, got shape {array.shape}")
     if not np.isfinite(array).all():

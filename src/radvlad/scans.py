@@ -24,7 +24,13 @@ SAMPLE_ENCODINGS = ("u8", "f32-LE")
 
 @dataclass(frozen=True)
 class PolarScan:
-    """One radar revolution of received power over azimuths x range bins."""
+    """One radar revolution of received power over azimuths x range bins.
+
+    ``power`` is held in the precision it is given: a float32 array (as a
+    ``.prsn`` file or an ``f32-LE`` raw file stores it) stays float32, and
+    anything else becomes float64. Every kernel that reads it widens it
+    exactly to float64 where it computes, so both give the same outputs.
+    """
 
     power: np.ndarray
     range_resolution_m: float
@@ -32,7 +38,7 @@ class PolarScan:
     id: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "power", finite_array("power", self.power, 2, non_negative=True))
+        object.__setattr__(self, "power", finite_array("power", self.power, 2, non_negative=True, keep_float32=True))
         object.__setattr__(self, "range_resolution_m", finite_positive("range_resolution_m", self.range_resolution_m))
         object.__setattr__(self, "timestamp_ns", int(self.timestamp_ns))
 
@@ -138,10 +144,11 @@ class RasterLayoutConfig:
 def load_polar_scan(path, layout: RasterLayoutConfig) -> PolarScan:
     """Read one raw scan file under the given byte layout.
 
-    u8 samples are mapped to [0, 1] by division by 255; f32-LE samples are
-    passed through. The per-row header bytes are skipped. A file whose
-    length is not exactly the layout's is an ``IngestError``. The file stem is
-    used as the scan id and, when it is all digits, as the timestamp.
+    u8 samples are mapped to [0, 1] by division by 255, in float64; f32-LE
+    samples are passed through as float32. The per-row header bytes are
+    skipped. A file whose length is not exactly the layout's is an
+    ``IngestError``. The file stem is used as the scan id and, when it is all
+    digits, as the timestamp.
     """
     path = Path(path)
     sample = "u1" if layout.sample_encoding == "u8" else "<f4"
@@ -150,9 +157,12 @@ def load_polar_scan(path, layout: RasterLayoutConfig) -> PolarScan:
     buf = path.read_bytes()
     if len(buf) != need:
         raise IngestError(f"{path}: layout of {layout.rows} rows needs exactly {need} bytes, found {len(buf)}")
-    power = np.frombuffer(buf, dtype=row)["power"].astype(np.float64)
+    power = np.frombuffer(buf, dtype=row)["power"]
     if layout.sample_encoding == "u8":
+        power = power.astype(np.float64)
         power /= 255.0
+    else:
+        power = np.ascontiguousarray(power)  # rows packed, without the header bytes between them
     stem = path.stem
     timestamp = int(stem) if stem.isdigit() else 0
     with ingesting(path):
@@ -166,9 +176,11 @@ def write_prsn(path, scan: PolarScan) -> None:
 
 
 def read_prsn(path) -> PolarScan:
+    """Read a scan written by ``write_prsn``; its power is a read-only
+    float32 view of the file's bytes."""
     frame = FrameReader(path, PRSN_MAGIC)
     rows, bins, res, timestamp = frame.header(_PRSN_HEADER)
-    power = frame.payload("<f4", (rows, bins)).astype(np.float64)
+    power = frame.payload("<f4", (rows, bins))
     with ingesting(frame.path):
         return PolarScan(power, res, timestamp, id=frame.path.stem)
 
@@ -277,15 +289,16 @@ def linear_resample_columns(rows: np.ndarray, target: int, suppress: int = 0) ->
 
     Sample i sits at input position (i + 0.5) * W / target - 0.5, clamped
     to the end columns; equal widths return a copy. The first
-    ``suppress`` input columns are read as zero.
+    ``suppress`` input columns are read as zero. The result is float64
+    for float32 rows too.
     """
     width = rows.shape[1]
     if target == width:
-        out = rows.copy()
+        out = np.array(rows, dtype=np.float64)
         out[:, :suppress] = 0.0
         return out
     if width == 1:
-        return np.repeat(np.zeros_like(rows) if suppress else rows, target, axis=1)
+        return np.repeat(np.zeros(rows.shape) if suppress else np.asarray(rows, dtype=np.float64), target, axis=1)
     pos = np.clip((np.arange(target) + 0.5) * (width / target) - 0.5, 0.0, width - 1.0)
     i0 = np.minimum(np.floor(pos).astype(np.int64), width - 2)
     frac = pos - i0

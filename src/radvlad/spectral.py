@@ -61,11 +61,12 @@ class SpectralScan:
 
 def radial_fft_magnitude(scan: PolarScan) -> SpectralScan:
     """DFT magnitude of every azimuth row, via the FFT: the half spectrum
-    ``np.abs(np.fft.rfft(row))``, checked once as it is wrapped."""
+    ``np.abs(np.fft.rfft(row))``, checked once as it is wrapped. Float32
+    power is widened first, because ``rfft`` keeps float32 in complex64."""
     power = scan.power
     if not np.isfinite(power).all():
         raise NumericError("scan power contains non-finite samples")
-    return SpectralScan(np.abs(np.fft.rfft(power, axis=1)), power.shape[1])
+    return SpectralScan(np.abs(np.fft.rfft(np.asarray(power, dtype=np.float64), axis=1)), power.shape[1])
 
 
 def _mirror_upper_half(rows: np.ndarray) -> np.ndarray:

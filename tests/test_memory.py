@@ -8,9 +8,20 @@ before tracing starts and are not counted.
 import tracemalloc
 
 import numpy as np
+import pytest
 import scipy.sparse  # noqa: F401  the sinogram imports it on first use; not an allocation of the call
 
-from radvlad import CartesianScan, VladDescriptor, descriptors, fit_kmeans_pp, radon_sinogram
+from radvlad import (
+    CartesianScan,
+    PolarScan,
+    VladDescriptor,
+    descriptors,
+    fit_kmeans_pp,
+    radon_sinogram,
+    read_prsn,
+    resample_range,
+    write_prsn,
+)
 from radvlad.evaluate import PlaceMap
 from radvlad.spectral import unfold_half_spectrum
 
@@ -25,6 +36,32 @@ def traced_peak_bytes(fn):
     finally:
         tracemalloc.stop()
     return result, peak - base
+
+
+@pytest.fixture
+def raw_prsn(tmp_path):
+    """A full-size raw scan, 400 azimuths x 3768 range bins, as a ``.prsn`` file."""
+    path = tmp_path / "raw.prsn"
+    write_prsn(path, PolarScan(np.random.default_rng(3).random((400, 3768)), 0.0432))
+    return path
+
+
+def test_reading_a_scan_holds_its_file_about_once(raw_prsn):
+    # The file's bytes, with the samples viewed in place as float32, and
+    # the one-byte-per-sample finiteness mask: no float64 copy (2x the file).
+    scan, peak = traced_peak_bytes(lambda: read_prsn(raw_prsn))
+    assert scan.power.dtype == np.float32
+    assert peak < 1.5 * raw_prsn.stat().st_size
+
+
+def test_resampling_a_float32_scan_never_widens_it_whole(raw_prsn):
+    # The output (512 of 3768 columns, float64) and one widened block of
+    # columns at a time; the band is built before tracing starts.
+    scan = read_prsn(raw_prsn)
+    resample_range(scan, 512, suppress_bins=60)
+    out, peak = traced_peak_bytes(lambda: resample_range(scan, 512, suppress_bins=60))
+    assert out.power.dtype == np.float64
+    assert peak < 0.25 * scan.power.size * 8
 
 
 def test_place_map_holds_its_stack_about_once():

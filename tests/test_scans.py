@@ -49,6 +49,26 @@ class TestPolarScanType:
         with pytest.raises(ArgumentError):
             PolarScan(np.ones((2, 2)), 0.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_power_is_held_as_given(self, dtype):
+        power = np.ones((2, 3), dtype=dtype)
+        assert PolarScan(power, 0.1).power is power
+
+    @pytest.mark.parametrize(
+        "power",
+        [np.ones((2, 3), dtype=np.int64), [[1, 2], [3, 4]], [[0.5, 1.5]], np.full((2, 2), 0.1, dtype=np.float16)],
+        ids=["int", "int_list", "float_list", "float16"],
+    )
+    def test_other_power_becomes_float64(self, power):
+        scan = PolarScan(power, 0.1)
+        assert scan.power.dtype == np.float64
+        assert np.array_equal(scan.power, np.asarray(power).astype(np.float64))
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.5])
+    def test_float32_power_is_checked_as_given(self, bad):
+        with pytest.raises(ArgumentError):
+            PolarScan(np.array([[1.0, bad]], dtype=np.float32), 0.1)
+
 
 class TestRawIngestion:
     def test_u8_file_roundtrip(self, tmp_path):
@@ -110,6 +130,22 @@ class TestRawIngestion:
         layout = RasterLayoutConfig(rows=1, header_bytes_per_row=0, payload_bins=4, sample_encoding="f32-LE")
         scan = load_polar_scan(path, layout)
         assert np.array_equal(scan.power, values.astype(np.float64))
+
+    @pytest.mark.parametrize("encoding, dtype", [("u8", "u1"), ("f32-LE", "<f4")])
+    @pytest.mark.parametrize("header", [0, 3])
+    def test_sample_dtype_follows_the_encoding(self, tmp_path, encoding, dtype, header):
+        # u8 becomes payload / 255 in float64; f32-LE is held as float32.
+        payload = np.array([[0, 51, 255], [3, 2, 1]], dtype=dtype)
+        path = tmp_path / "s.bin"
+        path.write_bytes(b"".join(bytes(header) + row.tobytes() for row in payload))
+        layout = RasterLayoutConfig(rows=2, header_bytes_per_row=header, payload_bins=3, sample_encoding=encoding)
+        power = load_polar_scan(path, layout).power
+        if encoding == "u8":
+            assert power.dtype == np.float64
+            assert np.array_equal(power, payload.astype(np.float64) / 255.0)
+        else:
+            assert power.dtype == np.float32
+            assert np.array_equal(power, payload)
 
     def test_f32_non_finite_rejected(self, tmp_path):
         values = np.array([[1.0, np.inf]], dtype="<f4")
@@ -509,6 +545,24 @@ class TestPrsnFormat:
         buf[-4:] = np.array([np.nan], dtype="<f4").tobytes()
         path.write_bytes(bytes(buf))
         with pytest.raises(IngestError, match="nan.prsn"):
+            read_prsn(path)
+
+    def test_power_is_a_read_only_float32_view(self, tmp_path):
+        path = tmp_path / "scan.prsn"
+        write_prsn(path, PolarScan(np.full((3, 5), 0.5), 0.1))
+        power = read_prsn(path).power
+        assert power.dtype == np.float32
+        assert power.shape == (3, 5)
+        assert not power.flags.writeable
+        assert not power.flags.owndata
+
+    def test_negative_sample_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "neg.prsn"
+        write_prsn(path, PolarScan(np.ones((2, 3)), 0.1))
+        buf = bytearray(path.read_bytes())
+        buf[-4:] = np.array([-0.5], dtype="<f4").tobytes()
+        path.write_bytes(bytes(buf))
+        with pytest.raises(IngestError, match="neg.prsn"):
             read_prsn(path)
 
     def test_cut_inside_header_rejected_naming_the_file(self, tmp_path):
