@@ -14,9 +14,11 @@ of this module prepares a ``Method`` and calls it.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
+import itertools
 import time
 import warnings
 from collections.abc import Sequence
@@ -121,10 +123,11 @@ class EvalRun:
     codebook: Codebook | None = None
 
 
-def downsample_trajectory(scans, stride: int) -> list:
-    """Every ``stride``-th element, starting at index 0."""
+def downsample_trajectory(scans, stride: int):
+    """Every ``stride``-th element, starting at index 0, as the sequence's
+    own slice: of a run's ``ScanFiles``, another that reads only those scans."""
     bounded_int("stride", stride, 1)
-    return list(scans[::stride])
+    return scans[::stride]
 
 
 def associate_poses(scans, poses: TrajectoryPoses) -> TrajectoryPoses:
@@ -187,12 +190,25 @@ def preprocess_scan(scan: PolarScan, cfg: RunConfig) -> PolarScan:
 
 
 def _map_jobs(fn, items, jobs: int):
-    """Yield ``fn(item)`` for each item in order, using up to ``jobs`` threads."""
+    """Yield ``fn(item)`` for each item in order, using up to ``jobs`` threads.
+    Items are taken from ``items`` only as results are yielded, at most
+    ``2 * jobs`` ahead, so a run whose scans are read when used holds only
+    the scans in flight."""
     if bounded_int("jobs", jobs, 1) == 1 or len(items) <= 1:
         yield from map(fn, items)
         return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(fn, items)
+        pending = collections.deque()
+        try:
+            for item in items:
+                pending.append(pool.submit(fn, item))
+                if len(pending) == 2 * jobs:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 class Method:
@@ -240,14 +256,11 @@ class Method:
         raise ArgumentError(f"method {self.name!r} requires a codebook")
 
     def training_rows(self, scans) -> np.ndarray:
-        """Every scan's ``rows``, written straight into one array sized up
-        front, so the codebook's training set is held once."""
-        out = np.empty((sum(s.azimuth_count for s in scans), self.width))
-        start = 0
-        for s in scans:
-            out[start : start + s.azimuth_count] = self.rows(s)
-            start += s.azimuth_count
-        return out
+        """Every scan's ``rows``, gathered row by row into one array in one
+        pass over ``scans``: no first pass sizes it, so a scan read when
+        used is read once, and the rows are never held twice."""
+        rows = itertools.chain.from_iterable(self.rows(s) for s in scans)
+        return np.fromiter(rows, dtype=np.dtype((np.float64, self.width)))
 
     def fit(self, scans) -> "Method":
         """This method with its codebook fitted on the training rows of
@@ -648,7 +661,8 @@ def bench_timings(method: str, scans, repetitions: int, cfg: RunConfig | None = 
 
     Each build sample times one raw scan's encode, preprocessing
     included, through the same ``Method.encode`` and timed loop
-    (``_timed_map``) as ``run_pair``, cycling through the given scans;
+    (``_timed_map``) as ``run_pair``, cycling through the first
+    ``repetitions`` scans (or all, if fewer), each read once and held;
     each distance sample times one ``Method.compare`` between two fixed
     descriptors, through the same loop. The
     codebook is fitted on the scans outside the timed region, and BLAS
@@ -661,16 +675,17 @@ def bench_timings(method: str, scans, repetitions: int, cfg: RunConfig | None = 
         raise ArgumentError("at least one scan is required")
     if bounded_int("repetitions", repetitions, 0) == 0:
         return TimingReport(method, np.zeros(0), np.zeros(0))
-    prepared = prepared.fit(scans)
+    held = list(scans[:repetitions])
+    prepared = prepared.fit(held if len(held) == len(scans) else scans)
     encode = prepared.encode
 
     build, distance = [], []
     with _single_thread_context():
         threads = blas_threads()
-        for _ in _timed_map(encode, [scans[i % len(scans)] for i in range(repetitions)], 1, build):
+        for _ in _timed_map(encode, [held[i % len(held)] for i in range(repetitions)], 1, build):
             pass
-        left = encode(scans[0])
-        right = encode(scans[min(1, len(scans) - 1)])
+        left = encode(held[0])
+        right = encode(held[min(1, len(held) - 1)])
         for _ in _timed_map(functools.partial(prepared.compare, left), [right] * repetitions, 1, distance):
             pass
     return TimingReport(method, np.array(build), np.array(distance), threads)

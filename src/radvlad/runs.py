@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from pathlib import Path
 
 from .errors import IngestError
@@ -12,6 +13,27 @@ SCANS_SUBDIR = "scans"
 
 def scan_filename(index: int) -> str:
     return f"{index:06d}.prsn"
+
+
+class ScanFiles(Sequence):
+    """The scans of a run, read from their ``.prsn`` files each time one is
+    indexed and not kept: indexing reads one (``read_prsn``, so a malformed
+    file is an ``IngestError`` naming it when first read), iterating reads
+    each in turn, and a slice is another ``ScanFiles`` that has read nothing."""
+
+    def __init__(self, paths):
+        self.paths = tuple(paths)
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ScanFiles(self.paths[index])
+        return read_prsn(self.paths[index])
+
+    def __iter__(self):
+        return (read_prsn(path) for path in self.paths)
 
 
 def write_trajectory(run_dir, scans, poses: TrajectoryPoses | None = None) -> Path:
@@ -26,14 +48,15 @@ def write_trajectory(run_dir, scans, poses: TrajectoryPoses | None = None) -> Pa
 
 
 def load_trajectory(run_dir, require_poses: bool = True) -> Trajectory:
+    """The run in ``run_dir``: its poses, read now, and its scans as
+    ``ScanFiles`` over the sorted ``.prsn`` paths, read when used."""
     run_dir = Path(run_dir)
     scan_dir = run_dir / SCANS_SUBDIR
     if not scan_dir.is_dir():
         raise IngestError(f"{run_dir}: no '{SCANS_SUBDIR}' directory")
-    paths = sorted(scan_dir.glob("*.prsn"))
-    if not paths:
+    scans = ScanFiles(sorted(scan_dir.glob("*.prsn")))
+    if not scans:
         raise IngestError(f"{scan_dir}: no .prsn scans found")
-    scans = [read_prsn(p) for p in paths]
     poses_path = run_dir / "poses.csv"
     if poses_path.exists():
         poses = load_poses(poses_path)

@@ -8,6 +8,7 @@ being range bins of physical width ``range_resolution_m``.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -110,10 +111,13 @@ class TrajectoryPoses:
 
 @dataclass
 class Trajectory:
-    """A named sequence of scans with their pose track."""
+    """A named sequence of scans with their pose track. ``scans`` is any
+    sequence of ``PolarScan``: a list as the synthetic worlds make, or a
+    ``runs.ScanFiles`` from ``load_trajectory`` that reads each scan from
+    its file when it is used."""
 
     name: str
-    scans: list
+    scans: Sequence
     poses: TrajectoryPoses
 
 

@@ -4,7 +4,9 @@ The ring-key sweep varies (azimuth rows, cropped range bins, final vector
 length) as a full Cartesian product. The sinogram-spectrum sweep varies
 scale percent against paired (resolution, width) settings; the pairing
 keeps the covered physical range constant, so the two lists are zipped
-rather than crossed.
+rather than crossed. Each grid point reads the strided scans it encodes
+afresh from a run's files, so a sweep holds no more of a run than one
+``localize`` does.
 """
 
 from __future__ import annotations

@@ -1,6 +1,11 @@
+import collections
 import pickle
+import shutil
+import threading
+import time
 from copy import deepcopy
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +36,7 @@ from radvlad import (
 )
 from radvlad.codebook import pairwise_sq_dist
 from radvlad.descriptors import (
+    RaplaceConfig,
     RaplaceDescriptor,
     RingKeyDescriptor,
     VladDescriptor,
@@ -57,7 +63,10 @@ from radvlad.evaluate import (
 from radvlad import codebook as codebook_module
 from radvlad import descriptors as descriptors_module
 from radvlad import evaluate as evaluate_module
+from radvlad import runs as runs_module
 from radvlad import spectral as spectral_module
+from radvlad.cli import main as cli_main
+from radvlad.runs import load_trajectory, write_trajectory
 from radvlad.scans import Trajectory
 from radvlad.scenarios import run_rotation_scenario, synthetic_run_config
 from radvlad.spectral import fold_half_spectrum, unfold_half_spectrum
@@ -1019,3 +1028,109 @@ def test_write_results_csv_multiple_runs(tmp_path):
     assert len(lines) == 1 + sum(len(r.recall.n_values) for r in runs)
     methods = {line.split(",")[2] for line in lines[1:]}
     assert methods == {"ringkey", "radvlad"}
+
+
+@pytest.fixture(scope="module")
+def stored_pair(tmp_path_factory):
+    """(query dir, reference dir): a small synthetic pair written as ``.prsn`` runs."""
+    root = tmp_path_factory.mktemp("stored")
+    world = _World(seed=4, cfg=WorldConfig(n_places=9, n_bins=128))
+    for name, run in (("ref", world.reference_trajectory()), ("query", world.rotated_query_trajectory(9, seed=3))):
+        write_trajectory(root / name, run.scans, run.poses)
+    return root / "query", root / "ref"
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Every ``.prsn`` path read through ``runs.read_prsn``, in order."""
+    log = []
+    original = runs_module.read_prsn
+
+    def counted(path):
+        log.append(Path(path))
+        return original(path)
+
+    monkeypatch.setattr(runs_module, "read_prsn", counted)
+    return log
+
+
+def _scan_paths(run_dir):
+    return sorted((run_dir / "scans").glob("*.prsn"))
+
+
+STORED_CFG = dict(suppress_bins=0, target_bins=128, k=4, n_max=3, raplace=RaplaceConfig(width_px=64, resolution_m=1.875))
+
+
+class TestScansReadWhenUsed:
+    def test_loading_a_run_reads_no_scan(self, stored_pair, reads):
+        trajectory = load_trajectory(stored_pair[1])
+        strided = downsample_trajectory(trajectory.scans, 3)
+        assert (len(trajectory.scans), len(strided), len(trajectory.poses)) == (9, 3, 9)
+        assert reads == []
+
+    @pytest.mark.parametrize("method, ref_reads", [("ringkey", 2), ("raplace", 2), ("radvlad", 3), ("fft_radvlad", 3)])
+    def test_run_pair_reads_each_scan_a_fixed_number_of_times(self, stored_pair, reads, method, ref_reads):
+        # Every scan once for its timestamp (associate_poses) and once for
+        # its encode; each reference scan once more for a codebook's training rows.
+        query, ref = (load_trajectory(d) for d in stored_pair)
+        run_pair(query, ref, method, RunConfig(method=method, stride=1, **STORED_CFG))
+        counts = collections.Counter(reads)
+        assert {counts[p] for p in _scan_paths(stored_pair[0])} == {2}
+        assert {counts[p] for p in _scan_paths(stored_pair[1])} == {ref_reads}
+        assert len(counts) == 18
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_localize_with_a_stride_reads_only_the_strided_scans(self, stored_pair, reads, tmp_path, jobs):
+        query, ref = stored_pair
+        args = ["localize", "--query", str(query), "--ref", str(ref), "--out", str(tmp_path), "--jobs", jobs]
+        assert cli_main([*args, "--method", "fft_radvlad", "--stride", "3", "--target-bins", "128", "--k", "4"]) == 0
+        assert set(reads) == set(_scan_paths(query)[::3] + _scan_paths(ref)[::3])
+
+    def test_parallel_encode_holds_at_most_two_scans_per_worker(self, stored_pair, monkeypatch):
+        lock, state = threading.Lock(), {"read": 0, "encoded": 0, "ahead": 0}
+        read, encode = runs_module.read_prsn, evaluate_module.encode_ring_key
+
+        def counted_read(path):
+            scan = read(path)
+            with lock:
+                state["read"] += 1
+                state["ahead"] = max(state["ahead"], state["read"] - state["encoded"])
+            return scan
+
+        def slow_encode(scan):
+            time.sleep(0.005)
+            descriptor = encode(scan)
+            with lock:
+                state["encoded"] += 1
+            return descriptor
+
+        monkeypatch.setattr(runs_module, "read_prsn", counted_read)
+        monkeypatch.setattr(evaluate_module, "encode_ring_key", slow_encode)
+        scans = load_trajectory(stored_pair[1]).scans
+        place_map = encode_trajectory(scans, "ringkey", RunConfig(method="ringkey", **STORED_CFG), jobs=2)
+        assert len(place_map) == state["read"] == state["encoded"] == 9
+        assert state["ahead"] <= 4
+
+    @pytest.mark.parametrize("method", ["ringkey", "fft_radvlad"])
+    def test_bench_reads_each_distinct_scan_once(self, tmp_path, reads, method):
+        run = _World(seed=2, cfg=WorldConfig(n_places=3, n_bins=128)).reference_trajectory()
+        scans = load_trajectory(write_trajectory(tmp_path / "run", run.scans), require_poses=False).scans
+        report = bench_timings(method, scans, 50, RunConfig(method=method, **STORED_CFG))
+        assert len(report.build_seconds) == len(report.distance_seconds) == 50
+        assert sorted(reads) == _scan_paths(tmp_path / "run")
+
+    def test_a_truncated_scan_is_reported_when_first_read(self, stored_pair, tmp_path, capsys):
+        query, ref = (tmp_path / name for name in ("query", "ref"))
+        for source, copy in zip(stored_pair, (query, ref)):
+            shutil.copytree(source, copy)
+        damaged = _scan_paths(ref)[4]
+        damaged.write_bytes(damaged.read_bytes()[:-7])
+        scans = load_trajectory(ref).scans
+        assert scans[3].power.shape == scans[5].power.shape
+        with pytest.raises(IngestError, match=f"{damaged.name}: expected"):
+            scans[4]
+        with pytest.raises(IngestError, match=damaged.name):
+            list(scans)
+        args = ["localize", "--query", str(query), "--ref", str(ref), "--out", str(tmp_path / "out"), "--stride", "1"]
+        assert cli_main([*args, "--method", "ringkey", "--target-bins", "128"]) == 1
+        assert damaged.name in capsys.readouterr().err

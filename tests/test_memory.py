@@ -14,6 +14,7 @@ import scipy.sparse  # noqa: F401  the sinogram imports it on first use; not an 
 from radvlad import (
     CartesianScan,
     PolarScan,
+    RunConfig,
     VladDescriptor,
     descriptors,
     fit_kmeans_pp,
@@ -22,7 +23,8 @@ from radvlad import (
     resample_range,
     write_prsn,
 )
-from radvlad.evaluate import PlaceMap
+from radvlad.evaluate import PlaceMap, encode_trajectory, fit_method_codebook
+from radvlad.runs import load_trajectory, write_trajectory
 from radvlad.spectral import unfold_half_spectrum
 
 
@@ -62,6 +64,39 @@ def test_resampling_a_float32_scan_never_widens_it_whole(raw_prsn):
     out, peak = traced_peak_bytes(lambda: resample_range(scan, 512, suppress_bins=60))
     assert out.power.dtype == np.float64
     assert peak < 0.25 * scan.power.size * 8
+
+
+@pytest.fixture(scope="module")
+def raw_run(tmp_path_factory):
+    """A run of six full-size raw scans, 400 azimuths x 3768 range bins, as ``.prsn`` files."""
+    rng = np.random.default_rng(4)
+    scans = [PolarScan(rng.random((400, 3768)), 0.0432, timestamp_ns=t) for t in range(6)]
+    return write_trajectory(tmp_path_factory.mktemp("raw_run"), scans)
+
+
+def test_loading_a_run_reads_none_of_its_scans(raw_run):
+    scan_bytes = (raw_run / "scans" / "000000.prsn").stat().st_size
+    trajectory, peak = traced_peak_bytes(lambda: load_trajectory(raw_run, require_poses=False))
+    assert len(trajectory.scans) == 6
+    assert peak < scan_bytes
+
+
+def test_fitting_and_encoding_a_run_holds_a_scan_at_a_time(raw_run):
+    # The training rows (held while the fit runs, and while they are
+    # gathered) and the scan in flight with its temporaries; never the
+    # whole run (six scans).
+    cfg = RunConfig(method="fft_radvlad", kmeans_max_iter=5)
+    scan_bytes = (raw_run / "scans" / "000000.prsn").stat().st_size
+    training_bytes = 6 * 400 * (cfg.target_bins // 2 + 1) * 8
+    resample_range(read_prsn(raw_run / "scans" / "000000.prsn"), cfg.target_bins, suppress_bins=cfg.suppress_bins)
+
+    def set_up():
+        scans = load_trajectory(raw_run, require_poses=False).scans
+        return encode_trajectory(scans, cfg.method, cfg, fit_method_codebook(scans, cfg.method, cfg))
+
+    place_map, peak = traced_peak_bytes(set_up)
+    assert len(place_map) == 6
+    assert peak < 2 * scan_bytes + 2 * training_bytes
 
 
 def test_place_map_holds_its_stack_about_once():

@@ -22,6 +22,7 @@ from radvlad import (
     write_poses,
     write_prsn,
 )
+from radvlad import runs as runs_module
 from radvlad import scans as scans_module
 from radvlad.runs import load_trajectory, write_trajectory
 
@@ -614,3 +615,16 @@ class TestRunDirectory:
             load_trajectory(run_dir)
         trajectory = load_trajectory(run_dir, require_poses=False)
         assert len(trajectory.scans) == 2 and len(trajectory.poses) == 0
+
+    def test_scans_are_read_from_their_files_when_used(self, run_dir, monkeypatch):
+        read = []
+        monkeypatch.setattr(runs_module, "read_prsn", lambda path: read.append(path.name) or read_prsn(path))
+        scans = load_trajectory(run_dir).scans
+        tail = scans[1:]
+        assert isinstance(tail, runs_module.ScanFiles) and len(tail) == 1 and read == []
+        assert [scan.timestamp_ns for scan in scans] == [1, 2]
+        assert scans[-1].id == tail[0].id == "000001"
+        assert scans[0] is not scans[0]  # read afresh, never kept
+        assert read == ["000000.prsn", "000001.prsn", "000001.prsn", "000001.prsn", "000000.prsn", "000000.prsn"]
+        with pytest.raises(IndexError):
+            scans[2]
