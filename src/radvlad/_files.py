@@ -57,11 +57,17 @@ def write_csv_rows(path, header: list, rows) -> None:
 
 
 class FrameReader:
-    """A native file's bytes, read front to back after its magic."""
+    """A native file's bytes, read front to back after its magic: all of
+    them, or with ``head`` only the ``head`` bytes after the magic, which
+    is enough to read the header and nothing more."""
 
-    def __init__(self, path, magic: bytes):
+    def __init__(self, path, magic: bytes, head: int | None = None):
         self.path = Path(path)
-        self._buf = self.path.read_bytes()
+        if head is None:
+            self._buf = self.path.read_bytes()
+        else:
+            with self.path.open("rb") as fh:
+                self._buf = fh.read(len(magic) + head)
         self._at = len(magic)
         if self._buf[: self._at] != magic:
             raise IngestError(f"{self.path}: bad magic {self._buf[: self._at]!r}")

@@ -83,36 +83,31 @@ def sq_norms(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def pairwise_sq_dist(a: np.ndarray, b: np.ndarray, a_sq=None, b_sq=None, spans=None) -> np.ndarray:
+def pairwise_sq_dist(a: np.ndarray, b: np.ndarray, a_sq=None, b_sq=None) -> np.ndarray:
     """Squared Euclidean distance between every row of ``a`` and of ``b``.
 
-    Expanded as |a|^2 - 2 a.b + |b|^2 so that one matrix product does the
-    work; ``a_sq`` and ``b_sq`` are the rows' ``sq_norms`` when the caller
-    already holds them. Entries that rounding pushes below zero are
-    clamped to zero.
-
-    ``spans``, when given, lists the column ranges ``(lo, hi)``, in order
-    and disjoint, outside which every row of ``a`` is zero: a.b is then
-    the sum of one product per span over column views of ``a`` and ``b``,
-    and the other columns of ``b`` are never read. One span over every
-    column gives the single product's bits; no span gives a.b = 0.
+    One matrix product gives every a.b, which ``sq_dist_of_products``
+    expands; ``a_sq`` and ``b_sq`` are the rows' ``sq_norms`` when the
+    caller already holds them.
     """
     if a_sq is None:
         a_sq = sq_norms(a)
     if b_sq is None:
         b_sq = sq_norms(b)
-    if spans is None:
-        d2 = a @ b.T
-    else:
-        d2 = np.zeros((a.shape[0], b.shape[0]))
-        for lo, hi in spans:
-            d2 += a[:, lo:hi] @ b[:, lo:hi].T
+    return sq_dist_of_products(a @ b.T, a_sq, b_sq)
+
+
+def sq_dist_of_products(products: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
+    """|a|^2 - 2 a.b + |b|^2 for every pair of rows, from the matrix of
+    their products a.b and each side's squared norms, computed in place in
+    ``products``. Entries that rounding pushes below zero are clamped to
+    zero."""
     # Scaling the product, not ``a``, gives the same bits without an
     # a-sized temporary.
-    d2 *= -2.0
-    d2 += a_sq[:, None]
-    d2 += b_sq[None, :]
-    return np.maximum(d2, 0.0, out=d2)
+    products *= -2.0
+    products += a_sq[:, None]
+    products += b_sq[None, :]
+    return np.maximum(products, 0.0, out=products)
 
 
 def _seed_centres(vectors: np.ndarray, vector_sq: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

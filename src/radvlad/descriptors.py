@@ -62,7 +62,7 @@ class VladDescriptor:
     def _of_folded(cls, folded: np.ndarray, k: int, w: int) -> "VladDescriptor":
         """The k x w descriptor whose sections fold to the read-only,
         already checked row ``folded``. Only ``radvlad.evaluate`` calls
-        this, with rows its encoder or a map's stack made."""
+        this, with rows its encoder made or a map rebuilt."""
         descriptor = object.__new__(cls)
         for name, value in (("k", k), ("w", w), ("_folded", folded)):
             object.__setattr__(descriptor, name, value)

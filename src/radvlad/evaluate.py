@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from ._files import FrameReader, ingesting, write_csv_rows, write_frame
-from .codebook import Codebook, fit_kmeans_pp, pairwise_sq_dist, save_codebook, sq_norms
+from .codebook import Codebook, fit_kmeans_pp, save_codebook, sq_dist_of_products, sq_norms
 from .config import (
     METHOD_FFT_RADVLAD,
     METHOD_RADVLAD,
@@ -51,6 +51,7 @@ from .descriptors import (
     raplace_similarity,
 )
 from .errors import ArgumentError, bounded_int, finite_array, finite_positive
+from .runs import ScanFiles
 from .scans import (
     PolarScan,
     Trajectory,
@@ -131,10 +132,15 @@ def downsample_trajectory(scans, stride: int):
 
 
 def associate_poses(scans, poses: TrajectoryPoses) -> TrajectoryPoses:
-    """Pose of nearest timestamp for each scan (earlier pose wins ties)."""
+    """Pose of nearest timestamp for each scan (earlier pose wins ties).
+    The scans of a run's ``ScanFiles`` are not read: their timestamps come
+    from the files' headers."""
     if len(poses) == 0:
         raise ArgumentError("pose list is empty")
-    ts = np.array([scan.timestamp_ns for scan in scans], dtype=np.int64)
+    if isinstance(scans, ScanFiles):
+        ts = scans.timestamps_ns()
+    else:
+        ts = np.array([scan.timestamp_ns for scan in scans], dtype=np.int64)
     if len(ts) > 1 and not (np.diff(ts) > 0).all():
         raise ArgumentError("scan timestamps must be strictly increasing")
     ref = poses.timestamps_ns
@@ -218,11 +224,11 @@ class Method:
     None for the methods without a codebook; for ``fft_radvlad`` the
     folded half spectrum, ``SpectralScan.folded``, with no full-width
     spectrum built), ``fit``, the per-scan ``encode``, the
-    ``descriptor_class`` and ``field`` a ``PlaceMap`` stacks, whether it
-    ``folds`` them, the map kernel ``match`` and the descriptor-pair
-    ``compare``. ``cfg`` defaults to the method's ``RunConfig``. The stages
-    it runs are looked up in this module's globals when they run, not when
-    it is built.
+    ``descriptor_class`` and ``field`` a ``PlaceMap`` takes, whether it
+    ``folds`` them, how a map ``holds`` them, the map kernel ``match`` and
+    the descriptor-pair ``compare``. ``cfg`` defaults to the method's
+    ``RunConfig``. The stages it runs are looked up in this module's
+    globals when they run, not when it is built.
     """
 
     def __init__(self, name: str, cfg: RunConfig | None = None, codebook: Codebook | None = None):
@@ -231,7 +237,7 @@ class Method:
         cfg = cfg if cfg is not None else RunConfig(method=name)
         self.name, self.cfg, self.codebook = name, cfg, codebook
         self.descriptor_class, self.field, self.folds = VladDescriptor, "values", False
-        self.match, self.compare = _sq_distance_matrix, descriptor_distance
+        self.holds, self.match, self.compare = SectionedRows.of_rows, _sq_distance_matrix, descriptor_distance
         self.rows, self.width, self.encode = None, cfg.target_bins, self._needs_codebook
         # The encoders capture locals, not self, so a method that can encode
         # holds no reference cycle and is freed as soon as it is dropped.
@@ -240,7 +246,7 @@ class Method:
             self.encode = lambda scan: encode_ring_key(preprocess_scan(scan, cfg))
         elif name == METHOD_RAPLACE:
             self.descriptor_class, self.field = RaplaceDescriptor, "spectrum"
-            self.match, self.compare = _raplace_distance_matrix, raplace_similarity
+            self.holds, self.match, self.compare = _dense_stack, _raplace_distance_matrix, raplace_similarity
             self.encode = lambda scan: encode_raplace(scan, cfg.raplace)
         elif name == METHOD_RADVLAD:
             self.rows = rows = lambda scan: preprocess_scan(scan, cfg).power
@@ -278,7 +284,7 @@ class Method:
         return Method(self.name, cfg, codebook)
 
     def array_of(self, descriptor) -> np.ndarray:
-        """The row a map stacks of ``descriptor``, which must be of this
+        """The row a map holds of ``descriptor``, which must be of this
         method's class: its array, or, when the method ``folds``, each of
         its k sections folded onto its W//2+1 leading columns. A descriptor
         this module made from that row (``VladDescriptor._of_folded``) gives
@@ -296,30 +302,41 @@ class Method:
             raise ArgumentError(f"{self.name} takes descriptors whose sections are mirror-symmetric")
         return fold_half_spectrum(sections).reshape(-1)
 
-    def stack_of(self, descriptors, count: int | None = None) -> tuple:
-        """``(stack, layout)``: the rows (``array_of``) of one or more
-        ``descriptors``, walked once and copied as they arrive into a new
-        array of ``count`` rows (by default, as many as there are), and the
-        layout they share: a ``VladDescriptor``'s (k, w), else the row's shape."""
+    def stack_of(self, descriptors, count: int | None = None, holds=None) -> tuple:
+        """``(store, layout)``: the rows (``array_of``) of one or more
+        ``descriptors``, walked once and taken as they arrive into what the
+        method ``holds`` of ``count`` rows (by default, as many as there
+        are), or into ``holds`` when given, and the layout they share: a
+        ``VladDescriptor``'s (k, w), else the row's shape. A vector method's
+        map holds ``SectionedRows`` (a ``VladDescriptor`` row is its k
+        sections, a ring key one section); ``raplace``'s, and any plain
+        query list, one new dense array (``_dense_stack``)."""
         if count is None:
             descriptors = list(descriptors)
             count = len(descriptors)
         if count < 1:
             raise ArgumentError("need at least one descriptor")
-        stack = layout = None
-        placed = 0
-        for descriptor in descriptors:
-            row = self.array_of(descriptor)
-            shape = (descriptor.k, descriptor.w) if self.descriptor_class is VladDescriptor else row.shape
-            if stack is None:
-                layout, stack = shape, np.empty((count, *row.shape))
-            elif placed >= count or shape != layout:
-                raise ArgumentError(f"descriptor {placed} does not fit {count} descriptors of layout {layout}")
-            stack[placed] = row
-            placed += 1
-        if placed != count:
-            raise ArgumentError(f"expected {count} descriptors, got {placed}")
-        return stack, layout
+        layout = None
+
+        def rows():
+            nonlocal layout
+            placed = 0
+            for descriptor in descriptors:
+                row = self.array_of(descriptor)
+                if self.descriptor_class is VladDescriptor:
+                    shape, row = (descriptor.k, descriptor.w), row.reshape(descriptor.k, -1)
+                else:
+                    shape = row.shape
+                if layout is None:
+                    layout = shape
+                elif placed >= count or shape != layout:
+                    raise ArgumentError(f"descriptor {placed} does not fit {count} descriptors of layout {layout}")
+                yield row
+                placed += 1
+            if placed != count:
+                raise ArgumentError(f"expected {count} descriptors, got {placed}")
+
+        return (holds or self.holds)(rows(), count), layout
 
     def descriptor_of(self, row: np.ndarray, layout: tuple):
         """The descriptor of ``layout`` whose ``array_of`` is the read-only
@@ -365,41 +382,143 @@ class PlaceMap(Sequence):
     """Encoded places of one run, held once with what matching reuses.
 
     A sequence of one method's descriptors; ``method`` is that ``Method``,
-    or its name. Each descriptor's row is copied, as it arrives, into one
-    contiguous read-only float64 ``stack`` (``Method.stack_of``), which is
-    all the map keeps of it: an ``fft_radvlad`` map holds folded sections,
-    half its descriptors' bytes. The descriptors share one ``layout``, and
-    indexing rebuilds each, read-only, from its row. Matching reads every
-    row's squared norm (``sq_norms``), or for ``raplace`` every spectrum's
-    conjugated angle-axis FFT (``fft_conj``) and Frobenius norm
-    (``norms``); each is computed on first use and kept.
+    or its name. Each descriptor's row is taken, as it arrives, into the
+    map's read-only ``store`` (``Method.stack_of``), which is all the map
+    keeps of it: for a vector method ``SectionedRows``, only the live
+    sections of each row (folded for ``fft_radvlad``), and for ``raplace``
+    one contiguous float64 array of the spectra. The descriptors share one
+    ``layout``, and indexing rebuilds each, read-only, from its row.
+    Matching reads every row's squared norm (``SectionedRows.sq_norms``),
+    or for ``raplace`` every spectrum's conjugated angle-axis FFT
+    (``fft_conj``) and Frobenius norm (``norms``); each is computed on
+    first use and kept.
     """
 
     def __init__(self, method, descriptors, count: int | None = None):
         self.method = method if isinstance(method, Method) else Method(method)
-        stack, self.layout = self.method.stack_of(descriptors, count)
-        self.stack = _frozen(stack)
+        self.store, self.layout = self.method.stack_of(descriptors, count)
 
     def __len__(self) -> int:
-        return len(self.stack)
+        return len(self.store)
 
     def __getitem__(self, index):
         rows = range(len(self))[index]
         if isinstance(rows, range):
             return tuple(self[i] for i in rows)
-        return self.method.descriptor_of(self.stack[rows], self.layout)
-
-    @functools.cached_property
-    def sq_norms(self) -> np.ndarray:
-        return _frozen(sq_norms(self.stack))
+        return self.method.descriptor_of(self.store[rows], self.layout)
 
     @functools.cached_property
     def fft_conj(self) -> np.ndarray:
-        return _frozen(np.conj(np.fft.fft(self.stack, axis=1)))
+        return _frozen(np.conj(np.fft.fft(self.store, axis=1)))
 
     @functools.cached_property
     def norms(self) -> np.ndarray:
-        return _frozen(_frobenius_norms(self.stack))
+        return _frozen(_frobenius_norms(self.store))
+
+
+@dataclass(frozen=True, eq=False)
+class SectionedRows:
+    """``count`` rows of equal sections, held as only their live sections.
+
+    A section is live when some entry of it is not +0.0 (a VLAD section
+    whose centre gets no azimuth row of a scan is exactly zero). ``data``
+    holds the live sections section by section: section s of every row it
+    is live in forms the contiguous read-only block
+    ``data[bounds[s]:bounds[s + 1]]``, whose rows belong to the rows
+    ``owners[bounds[s]:bounds[s + 1]]``, in ascending order. Indexing
+    rebuilds a row, read-only, with the same bytes: its dead sections are
+    +0.0, and a live section is kept as it was, signed zeros included.
+    """
+
+    data: np.ndarray
+    owners: np.ndarray
+    bounds: np.ndarray
+    count: int
+
+    @classmethod
+    def of_rows(cls, rows, count: int) -> "SectionedRows":
+        """The ``count`` rows of ``rows``, each of k sections of equal width
+        as a k x width array (or one section, as a flat array), taken one
+        at a time; no row is held. Each live section is copied, as it
+        arrives, into room for ``count`` rows of its section in an array
+        with room for every section of every row; the blocks are then
+        moved down into one run and the array is shrunk in place to them,
+        so no section is held twice and the room never filled is given
+        back."""
+        data, lives = None, []
+        for row in rows:
+            row = np.atleast_2d(row)
+            if data is None:
+                data, sizes = np.empty((len(row) * count, row.shape[1])), np.zeros(len(row), dtype=np.intp)
+            live = _live(row)
+            data[live * count + sizes[live]] = row[live]
+            sizes[live] += 1
+            lives.append(live)
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        starts = bounds.tolist()
+        for s in np.flatnonzero(sizes).tolist():
+            if starts[s] != s * count:
+                data[starts[s] : starts[s + 1]] = data[s * count : s * count + starts[s + 1] - starts[s]]
+        data.resize((starts[-1], data.shape[1]), refcheck=False)
+        owners = np.repeat(np.arange(count), [len(live) for live in lives])
+        owners = owners[np.argsort(np.concatenate(lives), kind="stable")]
+        return cls(_frozen(data), _frozen(owners), _frozen(bounds), count)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, row: int) -> np.ndarray:
+        """Row ``row`` (in ``range(count)``), flat."""
+        out = np.zeros((len(self.bounds) - 1, self.data.shape[1]))
+        at = np.flatnonzero(self.owners == row)
+        out[np.searchsorted(self.bounds, at, side="right") - 1] = self.data[at]
+        return _frozen(out.reshape(-1))
+
+    @functools.cached_property
+    def sq_norms(self) -> np.ndarray:
+        """Each row's squared norm, summed over its live sections in ascending order."""
+        return _frozen(np.bincount(self.owners, sq_norms(self.data), minlength=self.count))
+
+    def sq_distances(self, queries) -> np.ndarray:
+        """Squared distance of every query row to every row held here.
+        ``queries`` is a sequence of rows of as many sections of the same
+        width (a dense stack, or another ``SectionedRows``), read one at a
+        time. Each distance is ‖q‖² − 2q·r + ‖r‖² (``sq_dist_of_products``),
+        with ‖q‖² summed over the query's live sections and ‖r‖² cached
+        here. For each section s the query fills, block s times the query's
+        section s gives q_s·r_s for every row live in s, and those products
+        are scatter-added into the rows that own them, in ascending section
+        order. A section dead on either side adds q_s·r_s = 0, and its
+        block is never read."""
+        products, query_sq = np.empty((len(queries), self.count)), np.empty(len(queries))
+        starts = self.bounds.tolist()
+        for i in range(len(queries)):
+            row = queries[i].reshape(len(starts) - 1, -1)
+            live = _live(row)
+            query_sq[i] = sq_norms(row[live]).sum()
+            parts = np.zeros(len(self.owners))
+            for s in live.tolist():
+                block = slice(starts[s], starts[s + 1])
+                np.matmul(self.data[block], row[s], out=parts[block])
+            products[i] = np.bincount(self.owners, parts, minlength=self.count)
+        return sq_dist_of_products(products, query_sq, self.sq_norms)
+
+
+def _live(sections: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``sections`` (k x width) that hold some entry
+    other than +0.0: tested bit by bit, so a section of negative zeros is
+    live and is kept with its signs."""
+    return np.flatnonzero(np.bitwise_or.reduce(np.ascontiguousarray(sections).view(np.uint64), axis=1))
+
+
+def _dense_stack(rows, count: int) -> np.ndarray:
+    """The ``count`` rows of ``rows``, copied as they arrive into one new read-only array."""
+    stack = None
+    for placed, row in enumerate(rows):
+        if stack is None:
+            stack = np.empty((count, *row.shape))
+        stack[placed] = row
+    return _frozen(stack)
 
 
 def _frobenius_norms(spectra: np.ndarray) -> np.ndarray:
@@ -417,25 +536,10 @@ def encode_trajectory(scans, method: str, cfg: RunConfig, codebook: Codebook | N
     return PlaceMap(prepared, _map_jobs(prepared.encode, scans, jobs), len(scans))
 
 
-def _sq_distance_matrix(queries: np.ndarray, refs: PlaceMap) -> DistanceMatrix:
+def _sq_distance_matrix(queries, refs: PlaceMap) -> DistanceMatrix:
     """Squared distances of every query row to every map row, reading only
-    the map columns of the sections some query fills (``_live_spans``): a
-    ``VladDescriptor`` row holds k sections, any other row one. A dead
-    section adds nothing to q.m, and its |m|^2 is inside the cached
-    full-row ``sq_norms``, so the expansion stays exact."""
-    sections = refs.layout[0] if refs.method.descriptor_class is VladDescriptor else 1
-    spans = _live_spans(queries, sections)
-    return DistanceMatrix(pairwise_sq_dist(queries, refs.stack, b_sq=refs.sq_norms, spans=spans))
-
-
-def _live_spans(rows: np.ndarray, sections: int) -> list:
-    """Column ranges ``(lo, hi)`` of the runs of consecutive live sections
-    of ``rows``, each row being ``sections`` sections of equal width; a
-    section is live when it is non-zero in some row."""
-    live = np.zeros(sections + 2, dtype=bool)  # padded with a dead section at each end
-    live[1:-1] = rows.reshape(len(rows), sections, -1).any(axis=(0, 2))
-    edges = (np.flatnonzero(live[1:] != live[:-1]) * (rows.shape[1] // sections)).tolist()
-    return list(zip(edges[::2], edges[1::2]))
+    the map blocks of the sections each query fills (``SectionedRows.sq_distances``)."""
+    return DistanceMatrix(refs.store.sq_distances(queries))
 
 
 def _raplace_distance_matrix(queries: np.ndarray, refs: PlaceMap) -> DistanceMatrix:
@@ -458,7 +562,7 @@ def distance_matrix_from_descriptors(method: str, query_descs, ref_descs) -> Dis
     """Queries-by-references distances under ``method``. The references are
     matched as a ``PlaceMap``, built here from a plain sequence of
     descriptors; plain queries are stacked by the same ``Method.stack_of``
-    but not mapped, or a query ``PlaceMap``'s stack is taken as is. A map of
+    but not mapped, or a query ``PlaceMap``'s store is taken as is. A map of
     another method, or a descriptor not of the method's class or the map's
     layout, is an ``ArgumentError``."""
     for given in (ref_descs, query_descs):
@@ -466,9 +570,9 @@ def distance_matrix_from_descriptors(method: str, query_descs, ref_descs) -> Dis
             raise ArgumentError(f"cannot match by {method}: given a {given.method.name} map")
     refs = ref_descs if isinstance(ref_descs, PlaceMap) else PlaceMap(method, ref_descs)
     if isinstance(query_descs, PlaceMap):
-        queries, layout = query_descs.stack, query_descs.layout
+        queries, layout = query_descs.store, query_descs.layout
     else:
-        queries, layout = refs.method.stack_of(query_descs)
+        queries, layout = refs.method.stack_of(query_descs, holds=_dense_stack)
     if layout != refs.layout:
         raise ArgumentError(f"queries must be descriptors of the reference layout {refs.layout}, not {layout}")
     return refs.method.match(queries, refs)

@@ -5,8 +5,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from pathlib import Path
 
+import numpy as np
+
 from .errors import IngestError
-from .scans import Trajectory, TrajectoryPoses, load_poses, read_prsn, write_poses, write_prsn
+from .scans import Trajectory, TrajectoryPoses, load_poses, read_prsn, read_prsn_timestamp, write_poses, write_prsn
 
 SCANS_SUBDIR = "scans"
 
@@ -34,6 +36,10 @@ class ScanFiles(Sequence):
 
     def __iter__(self):
         return (read_prsn(path) for path in self.paths)
+
+    def timestamps_ns(self) -> np.ndarray:
+        """Every scan's timestamp, read from its file's header alone."""
+        return np.array([read_prsn_timestamp(path) for path in self.paths], dtype=np.int64)
 
 
 def write_trajectory(run_dir, scans, poses: TrajectoryPoses | None = None) -> Path:

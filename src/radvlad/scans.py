@@ -8,6 +8,7 @@ being range bins of physical width ``range_resolution_m``.
 from __future__ import annotations
 
 import functools
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -187,6 +188,13 @@ def read_prsn(path) -> PolarScan:
     power = frame.payload("<f4", (rows, bins))
     with ingesting(frame.path):
         return PolarScan(power, res, timestamp, id=frame.path.stem)
+
+
+def read_prsn_timestamp(path) -> int:
+    """The timestamp in the header of a file written by ``write_prsn``,
+    read without its samples."""
+    frame = FrameReader(path, PRSN_MAGIC, head=struct.calcsize(_PRSN_HEADER))
+    return frame.header(_PRSN_HEADER)[3]
 
 
 POSE_CSV_HEADER = ["timestamp_ns", "easting_m", "northing_m"]

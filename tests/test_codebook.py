@@ -11,7 +11,7 @@ from radvlad import (
     save_codebook,
 )
 from radvlad import codebook as codebook_module
-from radvlad.codebook import _seed_centres, _update_centres, cluster_sums, pairwise_sq_dist, sq_norms
+from radvlad.codebook import _seed_centres, _update_centres, cluster_sums, pairwise_sq_dist, sq_dist_of_products, sq_norms
 from radvlad.evaluate import fit_method_codebook
 from radvlad.scenarios import synthetic_run_config
 from radvlad.synthetic import PlaceWorld, WorldConfig
@@ -200,23 +200,16 @@ class TestPairwiseSqDist:
         expanded = a_sq[:, None] - 2.0 * a @ b.T + b_sq[None, :]
         assert np.array_equal(pairwise_sq_dist(a, b, a_sq, b_sq), np.maximum(expanded, 0.0))
 
-    def test_spans_read_only_their_columns_of_b(self):
+    def test_the_expansion_of_products_is_made_in_place_and_clamped(self):
         rng = np.random.default_rng(9)
         a, b = rng.standard_normal((3, 40)), rng.standard_normal((6, 40))
-        spans = [(0, 5), (12, 20), (35, 40)]
-        outside = np.ones(40, bool)
-        for lo, hi in spans:
-            outside[lo:hi] = False
-        a[:, outside] = 0.0
+        a[1] = b[2]  # a pair at distance zero, which rounding may push below it
         a_sq, b_sq = sq_norms(a), sq_norms(b)
-        want = pairwise_sq_dist(a, b, a_sq, b_sq)
-        poisoned = b.copy()
-        poisoned[:, outside] = np.nan
-        got = pairwise_sq_dist(a, poisoned, a_sq, b_sq, spans=spans)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        assert np.array_equal(pairwise_sq_dist(a, b, a_sq, b_sq, spans=[(0, 40)]), want)
-        zero = np.zeros((2, 40))
-        assert np.array_equal(pairwise_sq_dist(zero, poisoned, b_sq=b_sq, spans=[]), np.tile(b_sq, (2, 1)))
+        products = a @ b.T
+        got = sq_dist_of_products(products, a_sq, b_sq)
+        assert got is products
+        assert np.array_equal(got, pairwise_sq_dist(a, b, a_sq, b_sq))
+        assert got.min() >= 0.0 and abs(got[1, 2]) <= 1e-12 * b_sq[2]
 
     def test_blocked_norms_match_one_pass(self):
         rng = np.random.default_rng(8)

@@ -47,6 +47,7 @@ from radvlad.evaluate import (
     Method,
     PlaceMap,
     RecallCurve,
+    SectionedRows,
     TimingReport,
     _openblas_thread_functions,
     _single_thread_context,
@@ -371,6 +372,10 @@ def _array(descriptor):
     return descriptor.spectrum if isinstance(descriptor, RaplaceDescriptor) else descriptor.values
 
 
+def _store_arrays(store):
+    return [store.data, store.owners, store.bounds]
+
+
 def _of_another_layout(descriptor):
     """A descriptor of the same class one column, or for VLAD one section, short."""
     if isinstance(descriptor, RaplaceDescriptor):
@@ -394,8 +399,7 @@ class TestPlaceMap:
         via_map = distance_matrix_from_descriptors(method, queries, place_map).values
         via_list = distance_matrix_from_descriptors(method, plain_queries, plain_refs).values
         assert np.array_equal(via_map, via_list)
-        # One query at a time takes one product per span of the sections it
-        # fills, whose sums may round differently from the batch's product.
+        # One query at a time goes through the same kernel as the batch.
         one_at_a_time = np.vstack(
             [distance_matrix_from_descriptors(method, [q], place_map).values for q in plain_queries]
         )
@@ -418,21 +422,27 @@ class TestPlaceMap:
         array = place_map[1].spectrum if method == "raplace" else place_map[1].values
         with pytest.raises(ValueError):
             array[0] = 1.0
-        with pytest.raises(ValueError):
-            place_map.stack[0] = 1.0
+        held = [place_map.store] if method == "raplace" else _store_arrays(place_map.store)
+        assert not any(array.flags.writeable for array in held)
+        assert place_map[1] is not place_map[1]
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_only_fft_radvlad_stacks_folded_sections(self, method):
         ref_scans, _, cfg, codebook = _map_inputs(method, 0)
         place_map = encode_trajectory(ref_scans, method, cfg, codebook)
+        if method == "raplace":
+            assert place_map.store.shape == (len(ref_scans), *_array(place_map[0]).shape)
+            return
         width = cfg.target_bins
-        row_shape = {
-            "ringkey": (width,),
-            "raplace": _array(place_map[0]).shape,
-            "radvlad": (cfg.k * width,),
-            "fft_radvlad": (cfg.k * (width // 2 + 1),),
+        sections, section_width = {
+            "ringkey": (1, width),
+            "radvlad": (cfg.k, width),
+            "fft_radvlad": (cfg.k, width // 2 + 1),
         }[method]
-        assert place_map.stack.shape == (len(ref_scans), *row_shape)
+        store = place_map.store
+        assert isinstance(store, SectionedRows) and len(store) == len(ref_scans)
+        assert len(store.bounds) == sections + 1 and store.data.shape == (store.bounds[-1], section_width)
+        assert store[0].shape == (sections * section_width,)
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_map_hands_out_the_encoders_descriptors_read_only(self, method):
@@ -470,7 +480,8 @@ class TestPlaceMap:
         ref_scans, _, cfg, codebook = _map_inputs(method, 3)
         one = encode_trajectory(ref_scans, method, cfg, codebook, jobs=1)
         two = encode_trajectory(ref_scans, method, cfg, codebook, jobs=2)
-        assert one.stack.tobytes() == two.stack.tobytes()
+        held = (lambda m: [m.store]) if method == "raplace" else (lambda m: _store_arrays(m.store))
+        assert [a.tobytes() for a in held(one)] == [a.tobytes() for a in held(two)]
         assert len(one) == len(two) == len(ref_scans)
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
@@ -478,16 +489,22 @@ class TestPlaceMap:
         ref_scans, query_scans, cfg, codebook = _map_inputs(method, 0)
         place_map = encode_trajectory(ref_scans, method, cfg, codebook)
         query = encode_trajectory(query_scans[:1], method, cfg, codebook)
-        caches = {"sq_norms", "fft_conj", "norms"}
-        assert not caches & vars(place_map).keys()
-        distance_matrix_from_descriptors(method, query, place_map)
+        # A vector map's squared norms live on its store; a query's come
+        # from its rows, so a query map computes nothing.
+        def cached(place_map):
+            owner = place_map if method == "raplace" else place_map.store
+            return {"sq_norms", "fft_conj", "norms"} & vars(owner).keys(), owner
+
+        assert cached(place_map)[0] == cached(query)[0] == set()
         distance_matrix_from_descriptors(method, [query[0]], place_map)
-        assert not caches & vars(query).keys()
-        read = {"fft_conj", "norms"} if method == "raplace" else {"sq_norms"}
-        assert caches & vars(place_map).keys() == read
+        assert cached(query)[0] == set()
+        distance_matrix_from_descriptors(method, query, place_map)
+        read, owner = cached(place_map)
+        assert read == ({"fft_conj", "norms"} if method == "raplace" else {"sq_norms"})
+        assert cached(query)[0] == set()
         for name in read:
             with pytest.raises(ValueError):
-                getattr(place_map, name)[0] = 1.0
+                getattr(owner, name)[0] = 1.0
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_only_plain_references_are_mapped(self, method, monkeypatch):
@@ -530,10 +547,10 @@ class TestPlaceMap:
         other = _of_another_layout(good[0])
         calls, raised, stack_of = [], [], Method.stack_of
 
-        def spy(self, descriptors, count=None):
+        def spy(self, descriptors, count=None, **kwargs):
             calls.append(count)
             try:
-                return stack_of(self, descriptors, count)
+                return stack_of(self, descriptors, count, **kwargs)
             except ArgumentError as exc:
                 raised.append(str(exc))
                 raise
@@ -603,57 +620,72 @@ def _sections(method):
 
 def _random_descriptor(method, rng, live):
     """A descriptor of ``method`` that is random in its ``live`` sections
-    (a ring key is one section) and zero in the others."""
+    (a ring key is one section) and +0.0 in the others, as the encoder
+    leaves a section no azimuth row falls in."""
     if method == "ringkey":
-        return RingKeyDescriptor(rng.random(_W) * live[0])
+        return RingKeyDescriptor(np.where(live[0], rng.random(_W), 0.0))
     if method == "radvlad":
         sections = rng.normal(size=(_K, _W))
     else:
         sections = unfold_half_spectrum(rng.normal(size=(_K, _W // 2 + 1)), _W)
-    return VladDescriptor((sections * live[:, None]).reshape(-1), _K, _W)
+    return VladDescriptor(np.where(live[:, None], sections, 0.0).reshape(-1), _K, _W)
 
 
-def _random_map(method, rng, places=20):
-    return PlaceMap(method, [_random_descriptor(method, rng, np.ones(_sections(method), bool)) for _ in range(places)])
+def _random_descriptors(method, rng, count, live_share=1.0):
+    """``count`` descriptors whose sections are each live with probability ``live_share``."""
+    masks = rng.random((count, _sections(method))) < live_share
+    return [_random_descriptor(method, rng, live) for live in masks]
 
 
-def _dense(place_map, queries):
-    """The one product over full rows: the match with every section read."""
-    rows = np.array([place_map.method.array_of(q) for q in queries])
-    return pairwise_sq_dist(rows, place_map.stack, b_sq=place_map.sq_norms)
+def _random_map(method, rng, places=20, live_share=1.0):
+    return PlaceMap(method, _random_descriptors(method, rng, places, live_share))
 
 
-class TestLiveSections:
-    """The vector match reads only the map columns of the sections some query fills."""
+def _assert_per_pair_sums(got, queries, refs):
+    """``got`` within 1e-12 of each pair's sum of (q - r)^2, relative to |q|^2 + |r|^2."""
+    assert got.shape == (len(queries), len(refs))
+    for i, q in enumerate(queries):
+        for j, r in enumerate(refs):
+            want = float(np.sum((q.values - r.values) ** 2))
+            assert abs(got[i, j] - want) <= 1e-12 * (q.values @ q.values + r.values @ r.values), (i, j)
+
+
+class TestSectionedMatch:
+    """The vector match reads, per section some query fills, the map block
+    of that section, and must equal the per-pair sum of (q - r)^2."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("method", SECTIONED)
-    def test_partly_filled_queries_match_the_dense_expansion(self, method, seed):
+    def test_random_dead_sections_match_the_per_pair_sum(self, method, seed):
         rng = np.random.default_rng(seed)
-        place_map, n = _random_map(method, rng), _sections(method)
+        refs = _random_descriptors(method, rng, 20, live_share=0.4)
+        place_map = PlaceMap(method, refs)
         for size in (1, 2, 5):
-            # The last section is dead in every query, so the union is partial.
-            masks = rng.random((size, n)) < 0.4
-            masks[:, -1] = False
-            queries = [_random_descriptor(method, rng, live) for live in masks]
+            queries = _random_descriptors(method, rng, size, live_share=0.4)
             got = distance_matrix_from_descriptors(method, queries, place_map).values
-            np.testing.assert_allclose(got, _dense(place_map, queries), rtol=1e-12, atol=0)
+            _assert_per_pair_sums(got, queries, refs)
+            # A query map goes through the same kernel as a plain list.
+            as_map = distance_matrix_from_descriptors(method, PlaceMap(method, queries), place_map).values
+            assert np.array_equal(as_map, got)
 
-    @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("method", SECTIONED)
-    def test_every_section_live_is_the_dense_product_bit_for_bit(self, method, seed):
-        rng = np.random.default_rng(seed)
-        place_map, n = _random_map(method, rng), _sections(method)
-        owner = rng.integers(0, 3, n)
-        owner[:3] = np.arange(3)[:n]
-        batches = (
-            [_random_descriptor(method, rng, np.ones(n, bool))],
-            # No query fills every section, but together they do.
-            [_random_descriptor(method, rng, owner == i) for i in range(3)],
+    def test_edge_cases_match_the_per_pair_sum(self, method):
+        rng = np.random.default_rng(11)
+        n = _sections(method)
+        dead, live = np.zeros(n, bool), np.ones(n, bool)
+        some = _random_descriptors(method, rng, 6, live_share=0.5)
+        cases = (
+            ("all-dead query", [_random_descriptor(method, rng, dead)], some),
+            ("all-live query and map", [_random_descriptor(method, rng, live)], _random_descriptors(method, rng, 6)),
+            ("a place with no live section", _random_descriptors(method, rng, 3, 0.5), [*some, _random_descriptor(method, rng, dead)]),
+            ("one-place map", _random_descriptors(method, rng, 3, 0.5), [_random_descriptor(method, rng, live)]),
+            ("an all-dead map", _random_descriptors(method, rng, 3), [_random_descriptor(method, rng, dead)] * 2),
         )
-        for queries in batches:
-            got = distance_matrix_from_descriptors(method, queries, place_map).values
-            assert np.array_equal(got, _dense(place_map, queries))
+        for name, queries, refs in cases:
+            place_map = PlaceMap(method, refs)
+            for matched in (queries, PlaceMap(method, queries)):
+                got = distance_matrix_from_descriptors(method, matched, place_map).values
+                _assert_per_pair_sums(got, queries, refs)
 
     @pytest.mark.parametrize("method", SECTIONED)
     def test_an_all_zero_query_is_the_maps_sq_norms(self, method):
@@ -663,23 +695,73 @@ class TestLiveSections:
         partial = _random_descriptor(method, rng, np.arange(n) == 0)
         for queries, row in (([zero], 0), ([zero, partial], 0), ([partial, zero], 1)):
             got = distance_matrix_from_descriptors(method, queries, place_map).values
-            assert np.array_equal(got[row], place_map.sq_norms)
+            assert np.array_equal(got[row], place_map.store.sq_norms)
 
     @pytest.mark.parametrize("method", SECTIONED)
-    def test_dead_sections_of_the_map_are_not_read(self, method):
+    def test_dead_sections_of_the_queries_are_not_read_in_the_map(self, method):
         rng = np.random.default_rng(6)
         place_map, n = _random_map(method, rng), _sections(method)
         live = np.zeros(n, bool)
         live[1::3] = True
         queries = [_random_descriptor(method, rng, live), _random_descriptor(method, rng, live & (np.arange(n) > 1))]
         want = distance_matrix_from_descriptors(method, queries, place_map).values
-        # NaN in every dead section, after the full-row norms are cached:
-        # any read of those columns would reach the distances.
-        poisoned = place_map.stack.copy()
-        poisoned.reshape(len(place_map), n, -1)[:, ~live] = np.nan
-        place_map.stack = poisoned
+        # NaN in the map's blocks of every section the queries leave dead,
+        # after its norms are cached: any read of them would reach the distances.
+        store = place_map.store
+        poisoned = store.data.copy()
+        for s in np.flatnonzero(~live):
+            poisoned[store.bounds[s] : store.bounds[s + 1]] = np.nan
+        place_map.store = replace(store, data=poisoned)
+        place_map.store.__dict__["sq_norms"] = store.sq_norms
         got = distance_matrix_from_descriptors(method, queries, place_map).values
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("method", SECTIONED)
+    def test_the_map_holds_only_live_sections(self, method):
+        rng = np.random.default_rng(7)
+        refs = _random_descriptors(method, rng, 30, live_share=0.2)
+        store = PlaceMap(method, refs).store
+        method_rows = Method(method)
+        live = np.array([[np.any(s) for s in method_rows.array_of(d).reshape(_sections(method), -1)] for d in refs])
+        assert len(store.data) == len(store.owners) == live.sum()
+        for s in range(_sections(method)):
+            block = slice(store.bounds[s], store.bounds[s + 1])
+            mine = store.owners[block]
+            assert np.array_equal(mine, np.flatnonzero(live[:, s]))
+            for place, section in zip(mine, store.data[block]):
+                assert np.array_equal(section, method_rows.array_of(refs[place]).reshape(_sections(method), -1)[s])
+
+    @pytest.mark.parametrize("method", SECTIONED)
+    def test_indexing_gives_back_the_same_bytes_signed_zeros_included(self, method):
+        rng = np.random.default_rng(8)
+        n = _sections(method)
+        refs = _random_descriptors(method, rng, 6, live_share=0.5)
+        values = refs[0].values.copy()
+        values[0] = -0.0  # a negative zero in a live section (column 0 has no mirror column)
+        if n > 1:
+            width = values.size // n
+            values[width : 2 * width] = 0.0
+            values[width] = -0.0  # a section that is zero but for one negative zero
+        refs[0] = replace(refs[0], values=values)
+        method_rows = Method(method)
+        place_map = PlaceMap(method, refs)
+        store = place_map.store
+        if n > 1:  # the section of one negative zero is held as live
+            assert 0 in store.owners[store.bounds[1] : store.bounds[2]]
+        for made, rebuilt in zip(refs, place_map, strict=True):
+            assert method_rows.array_of(rebuilt).tobytes() == method_rows.array_of(made).tobytes()
+            if not method_rows.folds:
+                assert rebuilt.values.tobytes() == made.values.tobytes()
+
+    @pytest.mark.parametrize("method", SECTIONED)
+    def test_indexing_gives_back_the_encoders_bytes(self, method):
+        ref_scans, _, cfg, codebook = _map_inputs(method, 2)
+        prepared = Method(method, cfg, codebook)
+        place_map = encode_trajectory(ref_scans, method, cfg, codebook)
+        for scan, rebuilt in zip(ref_scans, place_map, strict=True):
+            made = prepared.encode(scan)
+            assert prepared.array_of(rebuilt).tobytes() == prepared.array_of(made).tobytes()
+            assert rebuilt.values.tobytes() == made.values.tobytes()
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_generators_of_descriptors_match_on_both_sides(self, method):
@@ -820,9 +902,9 @@ class TestPreparedFold:
         monkeypatch.setattr(evaluate_module, "fold_half_spectrum", refold)
         row = method.array_of(made)
         assert row.shape == (codebook.k * (cfg.target_bins // 2 + 1),)
-        assert np.array_equal(row, place_map.stack[0])
-        assert np.shares_memory(method.array_of(rebuilt), place_map.stack)
-        assert np.array_equal(method.array_of(rebuilt), place_map.stack[3])
+        assert np.array_equal(row, place_map.store[0])
+        assert method.array_of(rebuilt) is rebuilt._folded
+        assert np.array_equal(method.array_of(rebuilt), place_map.store[3])
         for descriptor in (made, rebuilt):
             sections = descriptor.values.reshape(codebook.k, cfg.target_bins)
             folded = fold_half_spectrum(sections).reshape(-1)
@@ -1068,16 +1150,37 @@ class TestScansReadWhenUsed:
         assert (len(trajectory.scans), len(strided), len(trajectory.poses)) == (9, 3, 9)
         assert reads == []
 
-    @pytest.mark.parametrize("method, ref_reads", [("ringkey", 2), ("raplace", 2), ("radvlad", 3), ("fft_radvlad", 3)])
+    @pytest.mark.parametrize("method, ref_reads", [("ringkey", 1), ("raplace", 1), ("radvlad", 2), ("fft_radvlad", 2)])
     def test_run_pair_reads_each_scan_a_fixed_number_of_times(self, stored_pair, reads, method, ref_reads):
-        # Every scan once for its timestamp (associate_poses) and once for
-        # its encode; each reference scan once more for a codebook's training rows.
+        # Every scan once for its encode (its timestamp is read from its
+        # header alone); each reference scan once more for a codebook's training rows.
         query, ref = (load_trajectory(d) for d in stored_pair)
         run_pair(query, ref, method, RunConfig(method=method, stride=1, **STORED_CFG))
         counts = collections.Counter(reads)
-        assert {counts[p] for p in _scan_paths(stored_pair[0])} == {2}
+        assert {counts[p] for p in _scan_paths(stored_pair[0])} == {1}
         assert {counts[p] for p in _scan_paths(stored_pair[1])} == {ref_reads}
         assert len(counts) == 18
+
+    def test_poses_are_associated_from_the_headers_alone(self, stored_pair, reads):
+        trajectory = load_trajectory(stored_pair[1])
+        from_headers = associate_poses(trajectory.scans[::2], trajectory.poses)
+        assert reads == []
+        from_scans = associate_poses(list(trajectory.scans[::2]), trajectory.poses)
+        for got, want in zip(
+            (from_headers.timestamps_ns, from_headers.easting_m, from_headers.northing_m),
+            (from_scans.timestamps_ns, from_scans.easting_m, from_scans.northing_m),
+        ):
+            assert np.array_equal(got, want)
+        assert trajectory.scans.timestamps_ns().dtype == np.int64
+
+    def test_a_scan_whose_header_is_cut_short_is_reported_by_name(self, stored_pair, tmp_path):
+        ref = tmp_path / "ref"
+        shutil.copytree(stored_pair[1], ref)
+        damaged = _scan_paths(ref)[2]
+        damaged.write_bytes(damaged.read_bytes()[:20])
+        trajectory = load_trajectory(ref)
+        with pytest.raises(IngestError, match=f"{damaged.name}: file shorter than header"):
+            associate_poses(trajectory.scans, trajectory.poses)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_localize_with_a_stride_reads_only_the_strided_scans(self, stored_pair, reads, tmp_path, jobs):

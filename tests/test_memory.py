@@ -28,16 +28,23 @@ from radvlad.runs import load_trajectory, write_trajectory
 from radvlad.spectral import unfold_half_spectrum
 
 
-def traced_peak_bytes(fn):
-    """(result of fn(), peak bytes newly allocated while it ran)."""
+def traced_bytes(fn):
+    """(result of fn(), bytes newly allocated while it ran and still held
+    after it, peak bytes newly allocated while it ran)."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         result = fn()
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, peak - base
+    return result, held - base, peak - base
+
+
+def traced_peak_bytes(fn):
+    """(result of fn(), peak bytes newly allocated while it ran)."""
+    result, _, peak = traced_bytes(fn)
+    return result, peak
 
 
 @pytest.fixture
@@ -99,19 +106,32 @@ def test_fitting_and_encoding_a_run_holds_a_scan_at_a_time(raw_run):
     assert peak < 2 * scan_bytes + 2 * training_bytes
 
 
-def test_place_map_holds_its_stack_about_once():
+@pytest.mark.parametrize("live_share", [1.0, 0.2])
+def test_place_map_holds_its_live_sections_about_once(live_share):
     # Mirror-symmetric sections, as radial spectra have, which the map
-    # stacks folded: half the descriptors' bytes, held once.
+    # holds folded, each live in a place with probability ``live_share``
+    # and +0.0 elsewhere. The map holds only the live sections, once: with
+    # every section live that is half the descriptors' bytes. While it is
+    # built it holds at most room for every folded section and the
+    # temporaries of folding one descriptor (three full-width rows at
+    # most), never the sections twice.
     k, width, count = 16, 512, 128
     rng = np.random.default_rng(0)
+    live = rng.random((count, k)) < live_share
     descriptors = [
-        VladDescriptor(unfold_half_spectrum(rng.standard_normal((k, width // 2 + 1)), width), k, width)
-        for _ in range(count)
+        VladDescriptor(unfold_half_spectrum(np.where(mask[:, None], rng.standard_normal((k, width // 2 + 1)), 0.0), width), k, width)
+        for mask in live
     ]
     full_width_bytes = count * k * width * 8
-    place_map, peak = traced_peak_bytes(lambda: PlaceMap("fft_radvlad", descriptors))
-    assert place_map.stack.nbytes == count * k * (width // 2 + 1) * 8
+    folded_bytes = count * k * (width // 2 + 1) * 8
+    live_bytes = int(live.sum()) * (width // 2 + 1) * 8
+    place_map, held, peak = traced_bytes(lambda: PlaceMap("fft_radvlad", descriptors))
+    assert len(place_map) == count
+    # The blocks, plus an owner index (8 B) per live section and small objects.
+    assert live_bytes < held < live_bytes + 0.02 * folded_bytes
+    assert abs(held / folded_bytes - live_share) < 0.05
     assert peak < 0.65 * full_width_bytes
+    assert peak < folded_bytes + 3 * k * width * 8
 
 
 def test_codebook_fit_makes_no_second_copy_of_its_input():

@@ -466,7 +466,8 @@ class TestBoxBandCache:
             for jobs in (1, 2, 4):
                 scans_module._box_bands.cache_clear()
                 place_map = encode_trajectory(scans, "fft_radvlad", cfg, codebook, jobs=jobs)
-                stacks.append((place_map.stack.tobytes(), b"".join(d.values.tobytes() for d in place_map)))
+                held = (place_map.store.data, place_map.store.owners)
+                stacks.append(tuple(a.tobytes() for a in held) + (b"".join(d.values.tobytes() for d in place_map),))
         finally:
             sys.setswitchinterval(interval)
         assert stacks[0] == stacks[1] == stacks[2]

@@ -112,7 +112,8 @@ def test_fit_encode_and_match_every_method(stored_runs, method):
         ref_map = encode_trajectory(ref, method, cfg, codebook)
         query_map = encode_trajectory(query, method, cfg, codebook)
         dist = distance_matrix_from_descriptors(method, query_map, ref_map).values
-        outputs.append((None if codebook is None else codebook.centres, ref_map.stack, query_map.stack, dist))
+        rows = [np.array([ref_map.method.array_of(d) for d in place_map]) for place_map in (ref_map, query_map)]
+        outputs.append((None if codebook is None else codebook.centres, *rows, dist))
     for stored, wide in zip(*outputs):
         if stored is not None:
             assert_same_float64(stored, wide)
