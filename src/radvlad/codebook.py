@@ -145,12 +145,29 @@ def _sq_dist_to_vector(vectors: np.ndarray, vector_sq: np.ndarray, idx: int) -> 
 def cluster_sums(rows: np.ndarray, labels: np.ndarray, k: int):
     """Per-cluster sum of ``rows`` and member count, for labels in [0, k).
 
-    One matrix product of the k x n one-hot membership matrix with the
-    rows; a cluster with no members sums to exactly zero.
+    With at least k rows, a stable sort of the labels gives each occupied
+    cluster's rows as one slice of row indices; those rows are gathered,
+    one cluster at a time, and summed in ascending row order, which gives
+    the bits of ``np.add.at`` (for rows of two or more columns: numpy sums
+    a one-column block pairwise, which differs only by rounding). With
+    fewer rows than centres, one matrix product of the k x n one-hot
+    membership matrix with the rows is faster. Either way a cluster with
+    no members sums to exactly zero.
     """
-    members = np.zeros((k, rows.shape[0]))
-    members[labels, np.arange(rows.shape[0])] = 1.0
-    return members @ rows, np.bincount(labels, minlength=k)
+    n = rows.shape[0]
+    counts = np.bincount(labels, minlength=k)
+    if n < k:
+        members = np.zeros((k, n))
+        members[labels, np.arange(n)] = 1.0
+        return members @ rows, counts
+    sums = np.zeros((k, rows.shape[1]))
+    order = np.argsort(labels, kind="stable")
+    start = 0
+    for cluster, count in enumerate(counts.tolist()):
+        if count:
+            np.add.reduce(rows.take(order[start : start + count], axis=0), axis=0, out=sums[cluster])
+            start += count
+    return sums, counts
 
 
 def _update_centres(vectors: np.ndarray, labels: np.ndarray, centres: np.ndarray, vector_sq=None) -> np.ndarray:

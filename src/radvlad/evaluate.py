@@ -18,7 +18,6 @@ import collections
 import contextlib
 import ctypes
 import functools
-import itertools
 import time
 import warnings
 from collections.abc import Sequence
@@ -50,7 +49,7 @@ from .descriptors import (
     encode_vlad,
     raplace_similarity,
 )
-from .errors import ArgumentError, bounded_int, finite_array, finite_positive
+from .errors import ArgumentError, IngestError, bounded_int, finite_array, finite_positive
 from .runs import ScanFiles
 from .scans import (
     PolarScan,
@@ -262,11 +261,27 @@ class Method:
         raise ArgumentError(f"method {self.name!r} requires a codebook")
 
     def training_rows(self, scans) -> np.ndarray:
-        """Every scan's ``rows``, gathered row by row into one array in one
-        pass over ``scans``: no first pass sizes it, so a scan read when
-        used is read once, and the rows are never held twice."""
-        rows = itertools.chain.from_iterable(self.rows(s) for s in scans)
-        return np.fromiter(rows, dtype=np.dtype((np.float64, self.width)))
+        """Every scan's ``rows``, copied scan by scan into one array
+        allocated once at its exact size, in one pass over ``scans``. The
+        size is the sum of the scans' azimuth counts, which a run's
+        ``ScanFiles`` reads from the files' headers, so each scan is read
+        once and the rows are never held twice. Scans given as an iterator
+        are listed first, since they are counted before they are read."""
+        if not isinstance(scans, Sequence):
+            scans = list(scans)
+        if isinstance(scans, ScanFiles):
+            counts = scans.azimuth_counts()
+        else:
+            counts = [scan.azimuth_count for scan in scans]
+        out = np.empty((sum(counts), self.width))
+        at = 0
+        for scan, count in zip(scans, counts):
+            rows = self.rows(scan)
+            if rows.shape[0] != count:
+                raise IngestError(f"scan {scan.id!r} has {rows.shape[0]} azimuths; its header said {count}")
+            out[at : at + count] = rows
+            at += count
+        return out
 
     def fit(self, scans) -> "Method":
         """This method with its codebook fitted on the training rows of

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IngestError
-from .scans import Trajectory, TrajectoryPoses, load_poses, read_prsn, read_prsn_timestamp, write_poses, write_prsn
+from .scans import Trajectory, TrajectoryPoses, load_poses, read_prsn, read_prsn_header, write_poses, write_prsn
 
 SCANS_SUBDIR = "scans"
 
@@ -21,7 +21,9 @@ class ScanFiles(Sequence):
     """The scans of a run, read from their ``.prsn`` files each time one is
     indexed and not kept: indexing reads one (``read_prsn``, so a malformed
     file is an ``IngestError`` naming it when first read), iterating reads
-    each in turn, and a slice is another ``ScanFiles`` that has read nothing."""
+    each in turn, and a slice is another ``ScanFiles`` that has read nothing.
+    A header read (``read_prsn_header``, for the timestamps and azimuth
+    counts) is not a scan read: it reads only the header's bytes."""
 
     def __init__(self, paths):
         self.paths = tuple(paths)
@@ -37,9 +39,17 @@ class ScanFiles(Sequence):
     def __iter__(self):
         return (read_prsn(path) for path in self.paths)
 
+    def headers(self) -> list:
+        """Every scan's ``PrsnHeader``, read from its file's header alone."""
+        return [read_prsn_header(path) for path in self.paths]
+
     def timestamps_ns(self) -> np.ndarray:
         """Every scan's timestamp, read from its file's header alone."""
-        return np.array([read_prsn_timestamp(path) for path in self.paths], dtype=np.int64)
+        return np.array([header.timestamp_ns for header in self.headers()], dtype=np.int64)
+
+    def azimuth_counts(self) -> list:
+        """Every scan's azimuth count, read from its file's header alone."""
+        return [header.azimuths for header in self.headers()]
 
 
 def write_trajectory(run_dir, scans, poses: TrajectoryPoses | None = None) -> Path:

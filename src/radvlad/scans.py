@@ -12,6 +12,7 @@ import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,11 +191,19 @@ def read_prsn(path) -> PolarScan:
         return PolarScan(power, res, timestamp, id=frame.path.stem)
 
 
-def read_prsn_timestamp(path) -> int:
-    """The timestamp in the header of a file written by ``write_prsn``,
-    read without its samples."""
+class PrsnHeader(NamedTuple):
+    """The header fields of a file written by ``write_prsn``."""
+
+    azimuths: int
+    range_bins: int
+    range_resolution_m: float
+    timestamp_ns: int
+
+
+def read_prsn_header(path) -> PrsnHeader:
+    """The header of a file written by ``write_prsn``, read without its samples."""
     frame = FrameReader(path, PRSN_MAGIC, head=struct.calcsize(_PRSN_HEADER))
-    return frame.header(_PRSN_HEADER)[3]
+    return PrsnHeader(*frame.header(_PRSN_HEADER))
 
 
 POSE_CSV_HEADER = ["timestamp_ns", "easting_m", "northing_m"]

@@ -162,26 +162,55 @@ class TestFit:
         assert np.array_equal(new[1], data[3])
 
 
+def _add_at_sums(rows, labels, k):
+    want = np.zeros((k, rows.shape[1]))
+    np.add.at(want, labels, rows)
+    return want
+
+
 class TestClusterSums:
-    def test_matches_add_at_loop(self):
-        rng = np.random.default_rng(11)
-        for n, k, width in [(1, 1, 3), (50, 4, 7), (400, 64, 32)]:
-            rows = rng.standard_normal((n, width)) * 1e3
-            labels = rng.integers(k, size=n)
-            sums, counts = cluster_sums(rows, labels, k)
-            want = np.zeros((k, width))
-            np.add.at(want, labels, rows)
-            assert sums.shape == (k, width)
-            assert np.array_equal(counts, np.bincount(labels, minlength=k))
+    # Row counts on both sides of the kernel choice for k = 64 centres:
+    # fewer rows than centres take the one-hot product, the rest the
+    # sorted slices. 32 and 400 rows are a largemap and a rawscan query,
+    # 9600 the rows both benchmark fits cluster.
+    K = 64
+    SIZES = [1, K - 1, 32, K, 400, 9600]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_add_at_loop(self, n):
+        rng = np.random.default_rng(11 + n)
+        rows = rng.standard_normal((n, 257)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+        rows[rng.random(rows.shape) < 0.1] = -0.0
+        labels = rng.integers(self.K, size=n)
+        sums, counts = cluster_sums(rows, labels, self.K)
+        want = _add_at_sums(rows, labels, self.K)
+        assert sums.shape == want.shape
+        assert np.array_equal(counts, np.bincount(labels, minlength=self.K))
+        if n >= self.K:
+            # Each cluster's rows are added in ascending row order: the bits of np.add.at, signed zeros included.
+            assert np.array_equal(sums.view(np.int64), want.view(np.int64))
+        else:
             assert np.all(np.abs(sums - want) <= 1e-12 * np.abs(rows).sum(axis=0))
 
-    def test_empty_clusters_are_exact_zeros(self):
-        rows = -np.random.default_rng(12).random((9, 5))
-        labels = np.array([0, 2, 2, 0, 4, 4, 4, 0, 2])
-        sums, counts = cluster_sums(rows, labels, 6)
-        for empty in (1, 3, 5):
-            assert counts[empty] == 0
-            assert np.array_equal(sums[empty], np.zeros(5))
+    @pytest.mark.parametrize("n", SIZES)
+    def test_empty_clusters_are_exact_zeros(self, n):
+        rng = np.random.default_rng(12 + n)
+        rows = -rng.random((n, 5))
+        # Only even clusters are occupied, so at least half are empty on either path.
+        labels = 2 * rng.integers(self.K // 2, size=n)
+        sums, counts = cluster_sums(rows, labels, self.K)
+        empty = np.flatnonzero(counts == 0)
+        assert empty.size >= self.K // 2
+        assert np.array_equal(sums[empty].view(np.int64), np.zeros((empty.size, 5), dtype=np.int64))
+
+    def test_one_column_rows_are_summed_within_rounding(self):
+        # One centre and one column: numpy reduces the one-column block
+        # pairwise, so only rounding separates it from np.add.at.
+        rows = np.random.default_rng(13).standard_normal((5000, 1))
+        labels = np.zeros(5000, dtype=np.int64)
+        sums, counts = cluster_sums(rows, labels, 1)
+        assert counts.tolist() == [5000]
+        assert abs(sums[0, 0] - _add_at_sums(rows, labels, 1)[0, 0]) <= 1e-12 * np.abs(rows).sum()
 
 
 class TestPairwiseSqDist:

@@ -261,11 +261,25 @@ class TestRadonSinogram:
 
     def test_importing_the_package_leaves_scipy_unloaded(self):
         # Only the sinogram needs scipy, and it imports it on first use,
-        # so workloads that never build a sinogram never pay for it.
+        # so workloads that never build a sinogram never pay for it:
+        # neither the import nor an fft_radvlad fit, encode and match loads it.
         src = str(Path(descriptors.__file__).resolve().parents[1])
-        code = f"import sys; sys.path.insert(0, {src!r}); import radvlad; print('scipy' in sys.modules)"
+        code = "\n".join([
+            f"import sys; sys.path.insert(0, {src!r})",
+            "import radvlad",
+            "print('scipy' in sys.modules)",
+            "from radvlad.evaluate import distance_matrix_from_descriptors, encode_trajectory, fit_method_codebook",
+            "from radvlad.scenarios import synthetic_run_config",
+            "from radvlad.synthetic import PlaceWorld, WorldConfig",
+            "world = PlaceWorld(seed=3, cfg=WorldConfig(n_places=4))",
+            "cfg = synthetic_run_config(world.cfg, 'fft_radvlad')",
+            "scans = world.reference_trajectory().scans",
+            "place_map = encode_trajectory(scans, 'fft_radvlad', cfg, fit_method_codebook(scans, 'fft_radvlad', cfg))",
+            "distances = distance_matrix_from_descriptors('fft_radvlad', place_map, place_map)",
+            "print(len(place_map), distances.values.shape, 'scipy' in sys.modules)",
+        ])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split("\n")[:2] == ["False", "4 (4, 4) False"]
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_parallel_encoders_build_a_cached_geometry_once(self, monkeypatch, jobs):

@@ -1173,6 +1173,24 @@ class TestScansReadWhenUsed:
             assert np.array_equal(got, want)
         assert trajectory.scans.timestamps_ns().dtype == np.int64
 
+    @pytest.mark.parametrize("method", ["radvlad", "fft_radvlad"])
+    def test_training_rows_read_each_scan_once_and_match_the_scans_in_memory(self, stored_pair, reads, method):
+        scans = load_trajectory(stored_pair[1]).scans[::2]
+        prepared = Method(method, RunConfig(method=method, **STORED_CFG))
+        rows = prepared.training_rows(scans)
+        assert reads == _scan_paths(stored_pair[1])[::2]
+        assert np.array_equal(rows, np.concatenate([prepared.rows(scan) for scan in scans]))
+        held = list(scans)
+        assert np.array_equal(prepared.training_rows(held), rows)
+        assert np.array_equal(prepared.training_rows(iter(held)), rows)
+
+    def test_a_scan_whose_header_disagrees_with_its_rows_is_reported(self, stored_pair, monkeypatch):
+        header = runs_module.read_prsn_header
+        monkeypatch.setattr(runs_module, "read_prsn_header", lambda path: header(path)._replace(azimuths=7))
+        scans = load_trajectory(stored_pair[1]).scans
+        with pytest.raises(IngestError, match="its header said 7"):
+            Method("fft_radvlad", RunConfig(method="fft_radvlad", **STORED_CFG)).training_rows(scans)
+
     def test_a_scan_whose_header_is_cut_short_is_reported_by_name(self, stored_pair, tmp_path):
         ref = tmp_path / "ref"
         shutil.copytree(stored_pair[1], ref)

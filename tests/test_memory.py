@@ -23,7 +23,7 @@ from radvlad import (
     resample_range,
     write_prsn,
 )
-from radvlad.evaluate import PlaceMap, encode_trajectory, fit_method_codebook
+from radvlad.evaluate import Method, PlaceMap, encode_trajectory, fit_method_codebook
 from radvlad.runs import load_trajectory, write_trajectory
 from radvlad.spectral import unfold_half_spectrum
 
@@ -106,6 +106,30 @@ def test_fitting_and_encoding_a_run_holds_a_scan_at_a_time(raw_run):
     assert peak < 2 * scan_bytes + 2 * training_bytes
 
 
+@pytest.fixture(scope="module")
+def small_scan_run(tmp_path_factory):
+    """A run of 300 small scans, 32 azimuths x 1024 range bins, as a map of
+    the largemap benchmark has them: many scans, each far smaller than
+    the training rows of the whole run."""
+    rng = np.random.default_rng(6)
+    run_dir = tmp_path_factory.mktemp("small_scan_run")
+    write_trajectory(run_dir, (PolarScan(rng.random((32, 1024)), 0.06, timestamp_ns=t) for t in range(300)))
+    return run_dir
+
+
+def test_training_rows_of_a_run_are_allocated_once(small_scan_run):
+    # The row array is sized from the scans' headers before the first
+    # scan is read, so the set-up holds it once, and beside it only the
+    # scan in flight with its temporaries; an array grown as rows arrive
+    # holds a reallocation's slack on top (about a fifth more here).
+    method = Method("fft_radvlad", RunConfig(method="fft_radvlad"))
+    scans = load_trajectory(small_scan_run, require_poses=False).scans
+    _, one_scan_peak = traced_peak_bytes(lambda: method.training_rows(scans[:1]))
+    rows, peak = traced_peak_bytes(lambda: method.training_rows(scans))
+    assert rows.shape == (300 * 32, 257)
+    assert peak < rows.nbytes + 2 * one_scan_peak
+
+
 @pytest.mark.parametrize("live_share", [1.0, 0.2])
 def test_place_map_holds_its_live_sections_about_once(live_share):
     # Mirror-symmetric sections, as radial spectra have, which the map
@@ -136,7 +160,8 @@ def test_place_map_holds_its_live_sections_about_once(live_share):
 
 def test_codebook_fit_makes_no_second_copy_of_its_input():
     # Wide rows and few centres: every legitimate temporary (norms,
-    # labels, n x k distances, the one-hot matrix) is far below n x W.
+    # labels, n x k distances, one cluster's rows gathered to be summed,
+    # about n/k x W) is well below n x W.
     rows = np.random.default_rng(1).random((2000, 512))
     codebook, peak = traced_peak_bytes(lambda: fit_kmeans_pp(rows, 4, seed=0, max_iter=3))
     assert codebook.iterations_run >= 1

@@ -25,6 +25,7 @@ from radvlad import (
 from radvlad import runs as runs_module
 from radvlad import scans as scans_module
 from radvlad.runs import load_trajectory, write_trajectory
+from radvlad.scans import read_prsn_header
 
 
 def make_scan(power, res=0.1):
@@ -523,6 +524,13 @@ class TestPrsnFormat:
         assert back.range_resolution_m == scan.range_resolution_m
         assert back.timestamp_ns == scan.timestamp_ns
         assert back.id == "scan"
+
+    def test_header_gives_every_field_without_the_samples(self, tmp_path):
+        path = tmp_path / "scan.prsn"
+        write_prsn(path, PolarScan(np.ones((12, 30)), 0.0432, timestamp_ns=987654321))
+        path.write_bytes(path.read_bytes()[:40])  # the header, and a few samples of 360
+        assert read_prsn_header(path) == (12, 30, 0.0432, 987654321)
+        assert read_prsn_header(path).azimuths == 12
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.prsn"
