@@ -145,21 +145,14 @@ def _sq_dist_to_vector(vectors: np.ndarray, vector_sq: np.ndarray, idx: int) -> 
 def cluster_sums(rows: np.ndarray, labels: np.ndarray, k: int):
     """Per-cluster sum of ``rows`` and member count, for labels in [0, k).
 
-    With at least k rows, a stable sort of the labels gives each occupied
-    cluster's rows as one slice of row indices; those rows are gathered,
-    one cluster at a time, and summed in ascending row order, which gives
-    the bits of ``np.add.at`` (for rows of two or more columns: numpy sums
-    a one-column block pairwise, which differs only by rounding). With
-    fewer rows than centres, one matrix product of the k x n one-hot
-    membership matrix with the rows is faster. Either way a cluster with
-    no members sums to exactly zero.
+    A stable sort of the labels gives each occupied cluster's rows as one
+    slice of row indices; those rows are gathered, one cluster at a time,
+    and summed in ascending row order, which gives the bits of
+    ``np.add.at`` (for rows of two or more columns: numpy sums a
+    one-column block pairwise, which differs only by rounding). A cluster
+    with no members sums to exactly zero.
     """
-    n = rows.shape[0]
     counts = np.bincount(labels, minlength=k)
-    if n < k:
-        members = np.zeros((k, n))
-        members[labels, np.arange(n)] = 1.0
-        return members @ rows, counts
     sums = np.zeros((k, rows.shape[1]))
     order = np.argsort(labels, kind="stable")
     start = 0

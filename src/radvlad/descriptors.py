@@ -99,8 +99,7 @@ def encode_vlad(rows, codebook: Codebook, l2_normalize: bool = False) -> VladDes
     Section i is the sum of (row - centre_i) over rows whose nearest
     centre is i, computed as the sum of those rows minus their count
     times centre_i, with every cluster's row sum taken by
-    ``codebook.cluster_sums``: in ascending row order when there are at
-    least k rows, else by one one-hot matrix product. Sections are
+    ``codebook.cluster_sums`` in ascending row order. Sections are
     concatenated in centre order and clusters with no rows contribute a
     zero section. Rows may be raw power vectors or radial spectra, as
     long as their length matches the codebook. ``l2_normalize``

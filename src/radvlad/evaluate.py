@@ -50,7 +50,7 @@ from .descriptors import (
     raplace_similarity,
 )
 from .errors import ArgumentError, IngestError, bounded_int, finite_array, finite_positive
-from .runs import ScanFiles
+from .runs import scan_headers
 from .scans import (
     PolarScan,
     Trajectory,
@@ -136,10 +136,7 @@ def associate_poses(scans, poses: TrajectoryPoses) -> TrajectoryPoses:
     from the files' headers."""
     if len(poses) == 0:
         raise ArgumentError("pose list is empty")
-    if isinstance(scans, ScanFiles):
-        ts = scans.timestamps_ns()
-    else:
-        ts = np.array([scan.timestamp_ns for scan in scans], dtype=np.int64)
+    ts = np.array([header.timestamp_ns for header in scan_headers(scans)], dtype=np.int64)
     if len(ts) > 1 and not (np.diff(ts) > 0).all():
         raise ArgumentError("scan timestamps must be strictly increasing")
     ref = poses.timestamps_ns
@@ -260,19 +257,16 @@ class Method:
     def _needs_codebook(self, scan):
         raise ArgumentError(f"method {self.name!r} requires a codebook")
 
-    def training_rows(self, scans) -> np.ndarray:
+    def training_rows(self, scans: Sequence) -> np.ndarray:
         """Every scan's ``rows``, copied scan by scan into one array
         allocated once at its exact size, in one pass over ``scans``. The
         size is the sum of the scans' azimuth counts, which a run's
         ``ScanFiles`` reads from the files' headers, so each scan is read
-        once and the rows are never held twice. Scans given as an iterator
-        are listed first, since they are counted before they are read."""
+        once and the rows are never held twice. ``scans`` is a sequence,
+        since it is counted before it is read."""
         if not isinstance(scans, Sequence):
-            scans = list(scans)
-        if isinstance(scans, ScanFiles):
-            counts = scans.azimuth_counts()
-        else:
-            counts = [scan.azimuth_count for scan in scans]
+            raise ArgumentError(f"training scans must be a sequence, not {type(scans).__name__}")
+        counts = [header.azimuth_count for header in scan_headers(scans)]
         out = np.empty((sum(counts), self.width))
         at = 0
         for scan, count in zip(scans, counts):

@@ -5,8 +5,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from pathlib import Path
 
-import numpy as np
-
 from .errors import IngestError
 from .scans import Trajectory, TrajectoryPoses, load_poses, read_prsn, read_prsn_header, write_poses, write_prsn
 
@@ -43,13 +41,13 @@ class ScanFiles(Sequence):
         """Every scan's ``PrsnHeader``, read from its file's header alone."""
         return [read_prsn_header(path) for path in self.paths]
 
-    def timestamps_ns(self) -> np.ndarray:
-        """Every scan's timestamp, read from its file's header alone."""
-        return np.array([header.timestamp_ns for header in self.headers()], dtype=np.int64)
 
-    def azimuth_counts(self) -> list:
-        """Every scan's azimuth count, read from its file's header alone."""
-        return [header.azimuths for header in self.headers()]
+def scan_headers(scans: Sequence) -> Sequence:
+    """Every scan's header fields (``azimuth_count``, ``range_bin_count``,
+    ``range_resolution_m``, ``timestamp_ns``): of a run's ``ScanFiles``,
+    its files' ``PrsnHeader``, read without reading a scan; of scans in
+    memory, the scans themselves, which carry the same fields."""
+    return scans.headers() if isinstance(scans, ScanFiles) else scans
 
 
 def write_trajectory(run_dir, scans, poses: TrajectoryPoses | None = None) -> Path:

@@ -192,10 +192,11 @@ def read_prsn(path) -> PolarScan:
 
 
 class PrsnHeader(NamedTuple):
-    """The header fields of a file written by ``write_prsn``."""
+    """The header fields of a file written by ``write_prsn``, named as
+    the ``PolarScan`` properties they give."""
 
-    azimuths: int
-    range_bins: int
+    azimuth_count: int
+    range_bin_count: int
     range_resolution_m: float
     timestamp_ns: int
 

@@ -169,10 +169,9 @@ def _add_at_sums(rows, labels, k):
 
 
 class TestClusterSums:
-    # Row counts on both sides of the kernel choice for k = 64 centres:
-    # fewer rows than centres take the one-hot product, the rest the
-    # sorted slices. 32 and 400 rows are a largemap and a rawscan query,
-    # 9600 the rows both benchmark fits cluster.
+    # Row counts for k = 64 centres, fewer and more rows than centres:
+    # 32 and 400 rows are a largemap and a rawscan query, 9600 the rows
+    # both benchmark fits cluster.
     K = 64
     SIZES = [1, K - 1, 32, K, 400, 9600]
 
@@ -186,17 +185,14 @@ class TestClusterSums:
         want = _add_at_sums(rows, labels, self.K)
         assert sums.shape == want.shape
         assert np.array_equal(counts, np.bincount(labels, minlength=self.K))
-        if n >= self.K:
-            # Each cluster's rows are added in ascending row order: the bits of np.add.at, signed zeros included.
-            assert np.array_equal(sums.view(np.int64), want.view(np.int64))
-        else:
-            assert np.all(np.abs(sums - want) <= 1e-12 * np.abs(rows).sum(axis=0))
+        # Each cluster's rows are added in ascending row order: the bits of np.add.at, signed zeros included.
+        assert np.array_equal(sums.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_empty_clusters_are_exact_zeros(self, n):
         rng = np.random.default_rng(12 + n)
         rows = -rng.random((n, 5))
-        # Only even clusters are occupied, so at least half are empty on either path.
+        # Only even clusters are occupied, so at least half are empty.
         labels = 2 * rng.integers(self.K // 2, size=n)
         sums, counts = cluster_sums(rows, labels, self.K)
         empty = np.flatnonzero(counts == 0)

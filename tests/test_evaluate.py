@@ -1,4 +1,5 @@
 import collections
+import operator
 import pickle
 import shutil
 import threading
@@ -67,7 +68,7 @@ from radvlad import evaluate as evaluate_module
 from radvlad import runs as runs_module
 from radvlad import spectral as spectral_module
 from radvlad.cli import main as cli_main
-from radvlad.runs import load_trajectory, write_trajectory
+from radvlad.runs import load_trajectory, scan_headers, write_trajectory
 from radvlad.scans import Trajectory
 from radvlad.scenarios import run_rotation_scenario, synthetic_run_config
 from radvlad.spectral import fold_half_spectrum, unfold_half_spectrum
@@ -1171,7 +1172,8 @@ class TestScansReadWhenUsed:
             (from_scans.timestamps_ns, from_scans.easting_m, from_scans.northing_m),
         ):
             assert np.array_equal(got, want)
-        assert trajectory.scans.timestamps_ns().dtype == np.int64
+        fields = operator.attrgetter("azimuth_count", "range_bin_count", "range_resolution_m", "timestamp_ns")
+        assert list(map(fields, scan_headers(trajectory.scans))) == list(map(fields, trajectory.scans))
 
     @pytest.mark.parametrize("method", ["radvlad", "fft_radvlad"])
     def test_training_rows_read_each_scan_once_and_match_the_scans_in_memory(self, stored_pair, reads, method):
@@ -1182,11 +1184,12 @@ class TestScansReadWhenUsed:
         assert np.array_equal(rows, np.concatenate([prepared.rows(scan) for scan in scans]))
         held = list(scans)
         assert np.array_equal(prepared.training_rows(held), rows)
-        assert np.array_equal(prepared.training_rows(iter(held)), rows)
+        with pytest.raises(ArgumentError, match="must be a sequence"):
+            prepared.training_rows(iter(held))
 
     def test_a_scan_whose_header_disagrees_with_its_rows_is_reported(self, stored_pair, monkeypatch):
         header = runs_module.read_prsn_header
-        monkeypatch.setattr(runs_module, "read_prsn_header", lambda path: header(path)._replace(azimuths=7))
+        monkeypatch.setattr(runs_module, "read_prsn_header", lambda path: header(path)._replace(azimuth_count=7))
         scans = load_trajectory(stored_pair[1]).scans
         with pytest.raises(IngestError, match="its header said 7"):
             Method("fft_radvlad", RunConfig(method="fft_radvlad", **STORED_CFG)).training_rows(scans)

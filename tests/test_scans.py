@@ -530,7 +530,7 @@ class TestPrsnFormat:
         write_prsn(path, PolarScan(np.ones((12, 30)), 0.0432, timestamp_ns=987654321))
         path.write_bytes(path.read_bytes()[:40])  # the header, and a few samples of 360
         assert read_prsn_header(path) == (12, 30, 0.0432, 987654321)
-        assert read_prsn_header(path).azimuths == 12
+        assert read_prsn_header(path).azimuth_count == 12
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.prsn"
