@@ -3,8 +3,8 @@
 A run matches every downsampled query scan against a reference map by
 descriptor distance, gates correctness by planar pose distance, and
 reports Recall@N. Distance matrices are oriented queries-by-references;
-similarity scores (the sinogram-spectrum method) are negated on ingestion
-so that lower always means more similar.
+similarity scores (the sinogram-spectrum method) are negated by the
+map's match so that lower always means more similar.
 
 Every method runs one pipeline: per-azimuth rows, a codebook fitted on
 the reference run only, a per-scan encode, and a match against the map.
@@ -90,10 +90,6 @@ class DistanceMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "values", finite_array("distances", self.values, 2))
-
-    @classmethod
-    def from_similarity(cls, similarity) -> "DistanceMatrix":
-        return cls(-np.asarray(similarity, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -221,9 +217,9 @@ class Method:
     folded half spectrum, ``SpectralScan.folded``, with no full-width
     spectrum built), ``fit``, the per-scan ``encode``, the
     ``descriptor_class`` and ``field`` a ``PlaceMap`` takes, whether it
-    ``folds`` them, how a map ``holds`` them, the map kernel ``match`` and
-    the descriptor-pair ``compare``. ``cfg`` defaults to the method's
-    ``RunConfig``. The stages it runs are looked up in this module's
+    ``folds`` them, the store class a map ``holds`` them in, which owns the
+    map's match, and the descriptor-pair ``compare``. ``cfg`` defaults to
+    the method's ``RunConfig``. The stages it runs are looked up in this module's
     globals when they run, not when it is built.
     """
 
@@ -233,7 +229,7 @@ class Method:
         cfg = cfg if cfg is not None else RunConfig(method=name)
         self.name, self.cfg, self.codebook = name, cfg, codebook
         self.descriptor_class, self.field, self.folds = VladDescriptor, "values", False
-        self.holds, self.match, self.compare = SectionedRows.of_rows, _sq_distance_matrix, descriptor_distance
+        self.holds, self.compare = SectionedRows, descriptor_distance
         self.rows, self.width, self.encode = None, cfg.target_bins, self._needs_codebook
         # The encoders capture locals, not self, so a method that can encode
         # holds no reference cycle and is freed as soon as it is dropped.
@@ -242,7 +238,7 @@ class Method:
             self.encode = lambda scan: encode_ring_key(preprocess_scan(scan, cfg))
         elif name == METHOD_RAPLACE:
             self.descriptor_class, self.field = RaplaceDescriptor, "spectrum"
-            self.holds, self.match, self.compare = _dense_stack, _raplace_distance_matrix, raplace_similarity
+            self.holds, self.compare = Spectra, raplace_similarity
             self.encode = lambda scan: encode_raplace(scan, cfg.raplace)
         elif name == METHOD_RADVLAD:
             self.rows = rows = lambda scan: preprocess_scan(scan, cfg).power
@@ -313,13 +309,13 @@ class Method:
 
     def stack_of(self, descriptors, count: int | None = None, holds=None) -> tuple:
         """``(store, layout)``: the rows (``array_of``) of one or more
-        ``descriptors``, walked once and taken as they arrive into what the
-        method ``holds`` of ``count`` rows (by default, as many as there
-        are), or into ``holds`` when given, and the layout they share: a
-        ``VladDescriptor``'s (k, w), else the row's shape. A vector method's
-        map holds ``SectionedRows`` (a ``VladDescriptor`` row is its k
-        sections, a ring key one section); ``raplace``'s, and any plain
-        query list, one new dense array (``_dense_stack``)."""
+        ``descriptors``, walked once and taken as they arrive into the store
+        class the method ``holds`` of ``count`` rows (by default, as many as
+        there are), or into ``holds`` when given, and the layout they share:
+        a ``VladDescriptor``'s (k, w), else the row's shape. A vector
+        method's map holds ``SectionedRows`` (a ``VladDescriptor`` row is
+        its k sections, a ring key one section); ``raplace``'s, and any
+        plain query list, one dense array (``Spectra``)."""
         if count is None:
             descriptors = list(descriptors)
             count = len(descriptors)
@@ -345,7 +341,7 @@ class Method:
             if placed != count:
                 raise ArgumentError(f"expected {count} descriptors, got {placed}")
 
-        return (holds or self.holds)(rows(), count), layout
+        return (holds or self.holds).of_rows(rows(), count), layout
 
     def descriptor_of(self, row: np.ndarray, layout: tuple):
         """The descriptor of ``layout`` whose ``array_of`` is the read-only
@@ -396,11 +392,9 @@ class PlaceMap(Sequence):
     keeps of it: for a vector method ``SectionedRows``, only the live
     sections of each row (folded for ``fft_radvlad``), and for ``raplace``
     one contiguous float64 array of the spectra. The descriptors share one
-    ``layout``, and indexing rebuilds each, read-only, from its row.
-    Matching reads every row's squared norm (``SectionedRows.sq_norms``),
-    or for ``raplace`` every spectrum's conjugated angle-axis FFT
-    (``fft_conj``) and Frobenius norm (``norms``); each is computed on
-    first use and kept.
+    ``layout``, and indexing rebuilds each, read-only, from its row. The
+    store owns the match (``store.distances``) and what it caches of the
+    rows for it.
     """
 
     def __init__(self, method, descriptors, count: int | None = None):
@@ -415,14 +409,6 @@ class PlaceMap(Sequence):
         if isinstance(rows, range):
             return tuple(self[i] for i in rows)
         return self.method.descriptor_of(self.store[rows], self.layout)
-
-    @functools.cached_property
-    def fft_conj(self) -> np.ndarray:
-        return _frozen(np.conj(np.fft.fft(self.store, axis=1)))
-
-    @functools.cached_property
-    def norms(self) -> np.ndarray:
-        return _frozen(_frobenius_norms(self.store))
 
 
 @dataclass(frozen=True, eq=False)
@@ -488,7 +474,7 @@ class SectionedRows:
         """Each row's squared norm, summed over its live sections in ascending order."""
         return _frozen(np.bincount(self.owners, sq_norms(self.data), minlength=self.count))
 
-    def sq_distances(self, queries) -> np.ndarray:
+    def distances(self, queries) -> np.ndarray:
         """Squared distance of every query row to every row held here.
         ``queries`` is a sequence of rows of as many sections of the same
         width (a dense stack, or another ``SectionedRows``), read one at a
@@ -520,18 +506,56 @@ def _live(sections: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.bitwise_or.reduce(np.ascontiguousarray(sections).view(np.uint64), axis=1))
 
 
-def _dense_stack(rows, count: int) -> np.ndarray:
-    """The ``count`` rows of ``rows``, copied as they arrive into one new read-only array."""
-    stack = None
-    for placed, row in enumerate(rows):
-        if stack is None:
-            stack = np.empty((count, *row.shape))
-        stack[placed] = row
-    return _frozen(stack)
+@dataclass(frozen=True, eq=False)
+class Spectra:
+    """Rows held as one dense read-only array, ``data``: a ``raplace`` map's
+    spectra, or the rows of any plain query list. A map's conjugated
+    angle-axis FFTs (``fft_conj``) and Frobenius norms (``norms``) are
+    computed on first use and kept."""
 
+    data: np.ndarray
 
-def _frobenius_norms(spectra: np.ndarray) -> np.ndarray:
-    return np.array([np.linalg.norm(spectrum) for spectrum in spectra])
+    @classmethod
+    def of_rows(cls, rows, count: int) -> "Spectra":
+        """The ``count`` rows of ``rows``, copied as they arrive into one new array."""
+        stack = None
+        for placed, row in enumerate(rows):
+            if stack is None:
+                stack = np.empty((count, *row.shape))
+            stack[placed] = row
+        return cls(_frozen(stack))
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, row: int) -> np.ndarray:
+        return self.data[row]
+
+    @functools.cached_property
+    def fft_conj(self) -> np.ndarray:
+        return _frozen(np.conj(np.fft.fft(self.data, axis=1)))
+
+    @functools.cached_property
+    def norms(self) -> np.ndarray:
+        return _frozen(np.array([np.linalg.norm(spectrum) for spectrum in self.data]))
+
+    def distances(self, queries) -> np.ndarray:
+        """Negated peak circular correlation of every query spectrum with
+        every spectrum held here, normalised by both Frobenius norms.
+        ``queries`` is a sequence of spectra of the same shape, read one at
+        a time.
+
+        The normalisation bounds every similarity by 1 with equality only
+        for a self pair at zero shift, so the self descriptor is always the
+        distance minimum; raw correlation would instead favour references
+        with large spectral mass.
+        """
+        out = np.empty((len(queries), len(self)))
+        for i in range(len(queries)):
+            query = queries[i]
+            scale = np.maximum(np.linalg.norm(query) * self.norms, np.finfo(float).tiny)
+            out[i] = -(_peak_correlation(np.fft.fft(query, axis=0), self.fft_conj) / scale)
+        return out
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -545,35 +569,14 @@ def encode_trajectory(scans, method: str, cfg: RunConfig, codebook: Codebook | N
     return PlaceMap(prepared, _map_jobs(prepared.encode, scans, jobs), len(scans))
 
 
-def _sq_distance_matrix(queries, refs: PlaceMap) -> DistanceMatrix:
-    """Squared distances of every query row to every map row, reading only
-    the map blocks of the sections each query fills (``SectionedRows.sq_distances``)."""
-    return DistanceMatrix(refs.store.sq_distances(queries))
-
-
-def _raplace_distance_matrix(queries: np.ndarray, refs: PlaceMap) -> DistanceMatrix:
-    """Peak circular correlation of every query spectrum with the map's, normalised by descriptor norms.
-
-    The normalisation bounds every entry by 1 with equality only for a
-    self pair at zero shift, so the self descriptor is always the
-    similarity extremum; raw correlation would instead favour references
-    with large spectral mass.
-    """
-    fq = np.fft.fft(queries, axis=1)
-    scale = np.maximum(_frobenius_norms(queries)[:, None] * refs.norms[None, :], np.finfo(float).tiny)
-    sim = np.empty((len(queries), len(refs)))
-    for i in range(len(queries)):
-        sim[i] = _peak_correlation(fq[i], refs.fft_conj)
-    return DistanceMatrix.from_similarity(sim / scale)
-
-
 def distance_matrix_from_descriptors(method: str, query_descs, ref_descs) -> DistanceMatrix:
     """Queries-by-references distances under ``method``. The references are
     matched as a ``PlaceMap``, built here from a plain sequence of
     descriptors; plain queries are stacked by the same ``Method.stack_of``
-    but not mapped, or a query ``PlaceMap``'s store is taken as is. A map of
-    another method, or a descriptor not of the method's class or the map's
-    layout, is an ``ArgumentError``."""
+    into one dense ``Spectra`` but not mapped, or a query ``PlaceMap``'s
+    store is taken as is; the map's store matches them. A map of another
+    method, or a descriptor not of the method's class or the map's layout,
+    is an ``ArgumentError``."""
     for given in (ref_descs, query_descs):
         if isinstance(given, PlaceMap) and given.method.name != method:
             raise ArgumentError(f"cannot match by {method}: given a {given.method.name} map")
@@ -581,10 +584,10 @@ def distance_matrix_from_descriptors(method: str, query_descs, ref_descs) -> Dis
     if isinstance(query_descs, PlaceMap):
         queries, layout = query_descs.store, query_descs.layout
     else:
-        queries, layout = refs.method.stack_of(query_descs, holds=_dense_stack)
+        queries, layout = refs.method.stack_of(query_descs, holds=Spectra)
     if layout != refs.layout:
         raise ArgumentError(f"queries must be descriptors of the reference layout {refs.layout}, not {layout}")
-    return refs.method.match(queries, refs)
+    return DistanceMatrix(refs.store.distances(queries))
 
 
 def _timed_map(fn, items, jobs: int, seconds: list):
@@ -737,23 +740,12 @@ def blas_threads() -> int | None:
 
 @contextlib.contextmanager
 def _single_thread_context():
-    """Pin BLAS to one thread for the block, then restore the previous count.
-
-    Uses ``threadpoolctl`` when it is installed, else OpenBLAS's own
-    setter; warns when neither is available.
-    """
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        pass
-    else:
-        with threadpool_limits(limits=1):
-            yield
-        return
+    """Pin BLAS to one thread for the block with OpenBLAS's own setter, then
+    restore the previous count; warns when no OpenBLAS is found."""
     functions = _openblas_thread_functions()
     if functions is None:
         warnings.warn(
-            "cannot pin BLAS to one thread (no threadpoolctl, no OpenBLAS found); "
+            "cannot pin BLAS to one thread (no OpenBLAS found); "
             "timings use the BLAS default thread count",
             RuntimeWarning,
             stacklevel=3,

@@ -54,10 +54,6 @@ class SpectralScan:
     def azimuth_count(self) -> int:
         return self.half.shape[0]
 
-    @property
-    def bin_count(self) -> int:
-        return self.width
-
 
 def radial_fft_magnitude(scan: PolarScan) -> SpectralScan:
     """DFT magnitude of every azimuth row, via the FFT: the half spectrum

@@ -1,11 +1,12 @@
 import collections
+import functools
 import operator
 import pickle
 import shutil
 import threading
 import time
 from copy import deepcopy
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,7 @@ from radvlad.evaluate import (
     PlaceMap,
     RecallCurve,
     SectionedRows,
+    Spectra,
     TimingReport,
     _openblas_thread_functions,
     _single_thread_context,
@@ -264,10 +266,6 @@ class TestAssociatePoses:
 
 
 class TestDistanceMatrixIO:
-    def test_similarity_is_negated(self):
-        sim = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(DistanceMatrix.from_similarity(sim).values, -sim)
-
     def test_dmat_roundtrip(self, tmp_path):
         rng = np.random.default_rng(6)
         dm = DistanceMatrix(rng.random((5, 7)))
@@ -374,7 +372,15 @@ def _array(descriptor):
 
 
 def _store_arrays(store):
-    return [store.data, store.owners, store.bounds]
+    """Every array a map's store holds of its rows (its caches aside)."""
+    held = (getattr(store, field.name) for field in fields(store))
+    return [value for value in held if isinstance(value, np.ndarray)]
+
+
+def _store_caches(store):
+    """The names of what a map's store computes on first use, and of those it holds."""
+    names = {name for name, attr in vars(type(store)).items() if isinstance(attr, functools.cached_property)}
+    return names, names & vars(store).keys()
 
 
 def _of_another_layout(descriptor):
@@ -423,8 +429,8 @@ class TestPlaceMap:
         array = place_map[1].spectrum if method == "raplace" else place_map[1].values
         with pytest.raises(ValueError):
             array[0] = 1.0
-        held = [place_map.store] if method == "raplace" else _store_arrays(place_map.store)
-        assert not any(array.flags.writeable for array in held)
+        held = _store_arrays(place_map.store)
+        assert held and not any(array.flags.writeable for array in held)
         assert place_map[1] is not place_map[1]
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
@@ -432,7 +438,8 @@ class TestPlaceMap:
         ref_scans, _, cfg, codebook = _map_inputs(method, 0)
         place_map = encode_trajectory(ref_scans, method, cfg, codebook)
         if method == "raplace":
-            assert place_map.store.shape == (len(ref_scans), *_array(place_map[0]).shape)
+            assert isinstance(place_map.store, Spectra)
+            assert place_map.store.data.shape == (len(ref_scans), *_array(place_map[0]).shape)
             return
         width = cfg.target_bins
         sections, section_width = {
@@ -481,8 +488,7 @@ class TestPlaceMap:
         ref_scans, _, cfg, codebook = _map_inputs(method, 3)
         one = encode_trajectory(ref_scans, method, cfg, codebook, jobs=1)
         two = encode_trajectory(ref_scans, method, cfg, codebook, jobs=2)
-        held = (lambda m: [m.store]) if method == "raplace" else (lambda m: _store_arrays(m.store))
-        assert [a.tobytes() for a in held(one)] == [a.tobytes() for a in held(two)]
+        assert [a.tobytes() for a in _store_arrays(one.store)] == [a.tobytes() for a in _store_arrays(two.store)]
         assert len(one) == len(two) == len(ref_scans)
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
@@ -490,22 +496,41 @@ class TestPlaceMap:
         ref_scans, query_scans, cfg, codebook = _map_inputs(method, 0)
         place_map = encode_trajectory(ref_scans, method, cfg, codebook)
         query = encode_trajectory(query_scans[:1], method, cfg, codebook)
-        # A vector map's squared norms live on its store; a query's come
-        # from its rows, so a query map computes nothing.
-        def cached(place_map):
-            owner = place_map if method == "raplace" else place_map.store
-            return {"sq_norms", "fft_conj", "norms"} & vars(owner).keys(), owner
-
-        assert cached(place_map)[0] == cached(query)[0] == set()
+        # A map's caches live on its store; a query's norms come from its
+        # rows, so a query map computes nothing.
+        names, held = _store_caches(place_map.store)
+        assert names and held == _store_caches(query.store)[1] == set()
         distance_matrix_from_descriptors(method, [query[0]], place_map)
-        assert cached(query)[0] == set()
+        assert _store_caches(query.store)[1] == set()
         distance_matrix_from_descriptors(method, query, place_map)
-        read, owner = cached(place_map)
-        assert read == ({"fft_conj", "norms"} if method == "raplace" else {"sq_norms"})
-        assert cached(query)[0] == set()
-        for name in read:
+        assert _store_caches(place_map.store)[1] == names
+        assert _store_caches(query.store)[1] == set()
+        for name in names:
             with pytest.raises(ValueError):
-                getattr(owner, name)[0] = 1.0
+                getattr(place_map.store, name)[0] = 1.0
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_the_maps_store_gives_the_distance_matrix(self, method):
+        ref_scans, query_scans, cfg, codebook = _map_inputs(method, 4)
+        place_map = encode_trajectory(ref_scans, method, cfg, codebook)
+        query_map = encode_trajectory(query_scans, method, cfg, codebook)
+        plain = _one_by_one(query_scans, method, cfg, codebook)
+        stack = np.stack([place_map.method.array_of(q) for q in plain])
+        for queries, rows in ((plain, stack), (query_map, query_map.store)):
+            want = distance_matrix_from_descriptors(method, queries, place_map).values
+            assert place_map.store.distances(rows).tobytes() == want.tobytes()
+        if method == "raplace":
+            # The batched formula the map matched by before its store owned
+            # the match: FFT of the whole query stack, then -(sim / scale).
+            refs = place_map.store.data
+            fq, fr_conj = np.fft.fft(stack, axis=1), np.conj(np.fft.fft(refs, axis=1))
+            norms_q = np.array([np.linalg.norm(q) for q in stack])
+            norms_r = np.array([np.linalg.norm(r) for r in refs])
+            scale = np.maximum(norms_q[:, None] * norms_r[None, :], np.finfo(float).tiny)
+            sim = np.empty((len(stack), len(refs)))
+            for i in range(len(stack)):
+                sim[i] = np.fft.ifft((fq[i] * fr_conj).sum(axis=-1), axis=-1).real.max(axis=-1)
+            assert place_map.store.distances(stack).tobytes() == (-(sim / scale)).tobytes()
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_only_plain_references_are_mapped(self, method, monkeypatch):
@@ -1033,11 +1058,8 @@ class TestBlasPin:
             put(original)
 
     def test_warns_when_nothing_can_be_pinned(self, monkeypatch):
-        import sys
-
         from radvlad import evaluate
 
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
         monkeypatch.setattr(evaluate, "_openblas_thread_functions", lambda: None)
         with pytest.warns(RuntimeWarning, match="cannot pin BLAS"):
             with _single_thread_context():

@@ -101,7 +101,7 @@ class TestSpectralProperties:
         out = radial_fft_magnitude(scan)
         assert out.magnitude.shape == (400, 512)
         assert out.azimuth_count == 400
-        assert out.bin_count == 512
+        assert out.width == 512
 
 
 WIDTHS = [1, 2, 3, 8, 9, 512, 513]
@@ -161,7 +161,7 @@ class TestHalfSpectrumScan:
         assert np.array_equal(out.magnitude, full)
         assert np.array_equal(out.folded, fold_half_spectrum(out.magnitude))
         assert out.magnitude is out.magnitude and out.folded is out.folded
-        assert (out.azimuth_count, out.bin_count) == (6, width)
+        assert (out.azimuth_count, out.width) == (6, width)
 
     @pytest.mark.parametrize("width", WIDTHS)
     def test_method_rows_match_the_full_width_fold(self, width):
