@@ -23,7 +23,7 @@ scan = render_polar(scene, SensorPose(0, 0, 0), n_azimuths=H, n_bins=W, max_rang
 
 cfg = RaplaceConfig(width_px=128, resolution_m=2 * 60.0 / 128, scale_pct=25.0)
 cart = polar_to_cartesian(scan, cfg.width_px, cfg.resolution_m)
-sino = radon_sinogram(cart, cfg.angles)
+sino = radon_sinogram(cart, cfg.width_px)
 print(f"sinogram: {sino.shape} (angles x projection samples), covers [0, pi)")
 
 desc = encode_raplace(scan, cfg)

@@ -59,7 +59,7 @@ def _add_config_flags(parser, include_method: bool = True) -> None:
     for key, setting in config_fields().items():
         if key == "method" and not include_method:
             continue
-        kind, shown = setting_type(setting.type), setting.metadata.get("shown", setting.default)
+        kind, shown = setting_type(setting.type), setting.default
         if kind is bool:
             options, shown = {"action": argparse.BooleanOptionalAction}, "on" if shown else "off"
         else:

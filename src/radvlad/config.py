@@ -29,7 +29,6 @@ class RaplaceConfig:
     width_px: int = field(default=256, metadata={"help": "Cartesian grid side in pixels"})
     resolution_m: float = field(default=1.2717, metadata={"help": "Cartesian metres per pixel"})
     scale_pct: float = field(default=25.0, metadata={"help": "sinogram radial downscale percent"})
-    n_angles: int | None = field(default=None, metadata={"help": "sinogram projection angles", "shown": "width_px"})
 
     def __post_init__(self):
         if bounded_int("raplace.width_px", self.width_px, 2) % 2 != 0:
@@ -37,11 +36,6 @@ class RaplaceConfig:
         finite_positive("raplace.resolution_m", self.resolution_m)
         if finite_positive("raplace.scale_pct", self.scale_pct) > 100.0:
             raise ArgumentError(f"raplace.scale_pct must be in (0, 100], got {self.scale_pct!r}")
-        bounded_int("raplace.n_angles", self.angles, 1)  # None reads the width, checked above
-
-    @property
-    def angles(self) -> int:
-        return self.n_angles if self.n_angles is not None else self.width_px
 
 
 @dataclass(frozen=True)
@@ -98,19 +92,12 @@ def config_fields() -> dict:
     return keys
 
 
-def config_keys() -> dict:
-    """Every config key mapped to its field's annotation."""
-    return {key: f.type for key, f in config_fields().items()}
-
-
 def setting_type(annotation: str) -> type:
-    """The value type of a config field's annotation (``int | None`` -> int)."""
-    return _TYPES[annotation.removesuffix(" | None")]
+    """The value type of a config field's annotation (``"int"`` -> int)."""
+    return _TYPES[annotation]
 
 
 def _convert(name: str, value, annotation: str):
-    if annotation.endswith(" | None") and value in (None, "", "none"):
-        return None
     target_type = setting_type(annotation)
     if isinstance(value, str):
         if target_type is bool:
@@ -129,7 +116,7 @@ def _convert(name: str, value, annotation: str):
 def build_run_config(file_values: dict | None = None, overrides: dict | None = None) -> RunConfig:
     """Materialise a RunConfig from defaults, file values, then overrides.
 
-    Both mappings use the flat dotted keys of ``config_keys``;
+    Both mappings use the flat dotted keys of ``config_fields``;
     ``overrides`` entries that are None are ignored so unset
     command-line flags fall through.
     """
@@ -138,13 +125,13 @@ def build_run_config(file_values: dict | None = None, overrides: dict | None = N
         if value is not None:
             merged[key] = value
 
-    keys = config_keys()
+    keys = config_fields()
     cfg_kwargs = {}
     raplace_kwargs = {}
     for key, value in merged.items():
         if key not in keys:
             raise ArgumentError(f"unknown config key {key!r}")
-        value = _convert(key, value, keys[key])
+        value = _convert(key, value, keys[key].type)
         if key.startswith("raplace."):
             raplace_kwargs[key[len("raplace."):]] = value
         else:

@@ -235,13 +235,14 @@ def radon_sinogram(scan: CartesianScan, n_angles: int) -> np.ndarray:
 def encode_raplace(scan: PolarScan, cfg: RaplaceConfig = RaplaceConfig()) -> RaplaceDescriptor:
     """Sinogram-spectrum descriptor of a polar scan.
 
-    Pipeline: polar-to-Cartesian projection, Radon sinogram, linear
-    downscale of the radial axis to ``scale_pct`` percent, then the DFT
-    magnitude of each angle row. Rotating the input circularly shifts the
-    spectrum rows, and radial shifts are absorbed by the magnitude.
+    Pipeline: polar-to-Cartesian projection, Radon sinogram with one
+    angle per grid column (``width_px``), linear downscale of the radial
+    axis to ``scale_pct`` percent, then the DFT magnitude of each angle
+    row. Rotating the input circularly shifts the spectrum rows, and
+    radial shifts are absorbed by the magnitude.
     """
     cart = polar_to_cartesian(scan, cfg.width_px, cfg.resolution_m)
-    sino = radon_sinogram(cart, cfg.angles)
+    sino = radon_sinogram(cart, cfg.width_px)
     target = max(1, int(round(sino.shape[1] * cfg.scale_pct / 100.0)))
     scaled = linear_resample_columns(sino, target)
     spectrum = np.abs(np.fft.fft(scaled, axis=1))

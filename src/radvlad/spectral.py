@@ -60,8 +60,6 @@ def radial_fft_magnitude(scan: PolarScan) -> SpectralScan:
     ``np.abs(np.fft.rfft(row))``, checked once as it is wrapped. Float32
     power is widened first, because ``rfft`` keeps float32 in complex64."""
     power = scan.power
-    if not np.isfinite(power).all():
-        raise NumericError("scan power contains non-finite samples")
     return SpectralScan(np.abs(np.fft.rfft(np.asarray(power, dtype=np.float64), axis=1)), power.shape[1])
 
 

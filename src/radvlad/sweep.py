@@ -58,8 +58,8 @@ def sweep_raplace(
     """Rows of (scale_pct, resolution_m, width_px, recall_at_1).
 
     ``resolutions`` and ``widths`` are zipped pairs (equal lengths); the
-    grid is scales x pairs. Each point is a ``run_pair`` with those three
-    ``cfg.raplace`` settings replaced, so its other settings carry through.
+    grid is scales x pairs. Each point is a ``run_pair`` with all three
+    ``cfg.raplace`` settings replaced; the ``RunConfig`` settings carry through.
     """
     if len(resolutions) != len(widths):
         raise ArgumentError("resolutions and widths must pair up one-to-one")

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import radvlad
-from radvlad import RasterLayoutConfig, RunConfig, WorldConfig, load_codebook
+from radvlad import ArgumentError, RasterLayoutConfig, RunConfig, WorldConfig, load_codebook
 from radvlad import cli, scenarios
 from radvlad.cli import build_parser, main
-from radvlad.config import METHODS, config_fields
+from radvlad.config import METHODS, build_run_config, config_fields
 from radvlad.runs import write_trajectory
 from radvlad.synthetic import PlaceWorld
 
@@ -96,7 +96,7 @@ class TestHelp:
             "--method", "--suppress-bins", "--target-bins", "--k", "--kmeans-tol",
             "--kmeans-seed", "--kmeans-max-iter", "--stride", "--threshold-m",
             "--n-max", "--vlad-l2-normalize", "--raplace-width-px",
-            "--raplace-resolution-m", "--raplace-scale-pct", "--raplace-n-angles",
+            "--raplace-resolution-m", "--raplace-scale-pct",
         ):
             assert flag in text
         flat = " ".join(text.split())
@@ -116,7 +116,6 @@ class TestHelp:
             "--raplace-width-px": cfg.raplace.width_px,
             "--raplace-resolution-m": cfg.raplace.resolution_m,
             "--raplace-scale-pct": cfg.raplace.scale_pct,
-            "--raplace-n-angles": "width_px" if cfg.raplace.n_angles is None else cfg.raplace.n_angles,
         }
         localize = build_parser()._subparsers._group_actions[0].choices["localize"]
         helps = {action.option_strings[0]: action.help for action in localize._actions if action.option_strings}
@@ -152,12 +151,10 @@ def test_module_entry_point_prints_the_parsers_help(monkeypatch):
 
 
 def test_config_flags_match_config_keys():
-    from radvlad.config import config_keys
-
     localize = build_parser()._subparsers._group_actions[0].choices["localize"]
     (group,) = [g for g in localize._action_groups if g.title.startswith("run configuration")]
     flag_dests = {action.dest for action in group._group_actions} - {"config"}
-    assert flag_dests == {key.replace(".", "_") for key in config_keys()}
+    assert flag_dests == {key.replace(".", "_") for key in config_fields()}
 
 
 class TestIngest:
@@ -567,9 +564,8 @@ def test_non_finite_setting_exits_1_naming_it(synth_pair, raw_source, tmp_path, 
     [
         (["--raplace-width-px", "3"], "raplace.width_px"),
         (["--raplace-scale-pct", "200"], "raplace.scale_pct"),
-        (["--raplace-n-angles", "0"], "raplace.n_angles"),
     ],
-    ids=["width_px_odd", "scale_pct_above_100", "n_angles_zero"],
+    ids=["width_px_odd", "scale_pct_above_100"],
 )
 def test_bad_raplace_setting_exits_1_naming_its_config_key(synth_pair, tmp_path, capsys, flags, key):
     query, ref = synth_pair
@@ -579,6 +575,24 @@ def test_bad_raplace_setting_exits_1_naming_its_config_key(synth_pair, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("radvlad localize: ") and key in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_the_sinogram_angle_count_is_not_a_setting(synth_pair, tmp_path, capsys):
+    # The sinogram takes one angle per grid column, raplace.width_px.
+    with pytest.raises(ArgumentError, match="unknown config key 'raplace.n_angles'"):
+        build_run_config({"raplace.n_angles": "8"})
+    query, ref = synth_pair
+    out = tmp_path / "out"
+    argv = ["localize", "--query", str(query), "--ref", str(ref), "--out", str(out), "--method", "raplace"]
+    cfg_file = tmp_path / "angles.cfg"
+    cfg_file.write_text("raplace.n_angles = 8\n")
+    assert main([*argv, *SYNTH_CFG_FLAGS, "--config", str(cfg_file)]) == 1
+    assert "unknown config key 'raplace.n_angles'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *SYNTH_CFG_FLAGS, "--raplace-n-angles", "8"])
+    assert exc.value.code == 2
+    assert "--raplace-n-angles" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -58,7 +58,6 @@ class TestDefaults:
         assert cfg.raplace.width_px == 256
         assert cfg.raplace.resolution_m == pytest.approx(1.2717)
         assert cfg.raplace.scale_pct == 25.0
-        assert cfg.raplace.angles == 256
 
     @pytest.mark.parametrize("config", [RunConfig, RaplaceConfig])
     def test_fields_cannot_be_assigned_after_the_checks(self, config):
@@ -145,18 +144,10 @@ class TestConfigFile:
         with pytest.raises(ArgumentError):
             build_run_config({"raplace.nonsense": "1"})
 
-    def test_raplace_n_angles_override(self):
-        cfg = build_run_config({"raplace.n_angles": "48"})
-        assert cfg.raplace.angles == 48
-
     @pytest.mark.parametrize("value", [2.5, float("nan"), True])
     def test_a_given_int_is_checked_not_converted(self, value):
         with pytest.raises(ArgumentError, match="^k must be an integer >= 1"):
             build_run_config(overrides={"k": value})
-
-    def test_raplace_n_angles_none_is_the_width(self):
-        cfg = build_run_config({"raplace.n_angles": "none", "raplace.width_px": "64"}, {"raplace.n_angles": None})
-        assert cfg.raplace.n_angles is None and cfg.raplace.angles == 64
 
 
 class TestValidValues:

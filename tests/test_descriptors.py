@@ -300,9 +300,9 @@ class TestRadonSinogram:
             encode_trajectory(world.reference_trajectory().scans, "raplace", cfg, jobs=jobs)
         finally:
             sys.setswitchinterval(interval)
-        # One table per built angle: those in [0, pi/2) for an even count.
-        n_angles = cfg.raplace.angles
-        assert len(calls) == (n_angles // 2 if n_angles % 2 == 0 else n_angles)
+        # One table per built angle: those in [0, pi/2), as the angle count
+        # is the grid width, which is even.
+        assert len(calls) == cfg.raplace.width_px // 2
 
 
 class TestEncodeRaplace:
@@ -311,7 +311,6 @@ class TestEncodeRaplace:
         assert cfg.width_px == 256
         assert cfg.resolution_m == pytest.approx(1.2717)
         assert cfg.scale_pct == 25.0
-        assert cfg.angles == 256
 
     def test_output_shape_at_defaults(self):
         rng = np.random.default_rng(10)
@@ -340,7 +339,7 @@ class TestEncodeRaplace:
         )
         d0 = encode_raplace(s0, cfg)
         d1 = encode_raplace(s1, cfg)
-        shift = 2 * cfg.angles * steps // n_az
+        shift = 2 * cfg.width_px * steps // n_az
         err = np.linalg.norm(d1.spectrum - np.roll(d0.spectrum, shift, axis=0))
         assert err <= 0.02 * np.linalg.norm(d0.spectrum)
 

@@ -198,5 +198,5 @@ class TestErrors:
     def test_fft_rejects_non_finite(self):
         scan = PolarScan(np.ones((2, 4)), 1.0)
         object.__setattr__(scan, "power", np.array([[1.0, np.nan, 0, 0], [0, 0, 0, 0]]))
-        with pytest.raises(NumericError):
+        with pytest.raises(ArgumentError, match="must be finite"):
             radial_fft_magnitude(scan)

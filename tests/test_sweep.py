@@ -82,9 +82,9 @@ class TestRaplaceSweep:
         assert sweep_raplace(query, ref, cfg, [], [1.875], [64]) == []
         assert sweep_raplace(query, ref, cfg, [10.0], [], []) == []
 
-    def test_other_raplace_settings_carry_through(self, pair, monkeypatch):
+    def test_run_settings_carry_through(self, pair, monkeypatch):
         query, ref, cfg = pair
-        cfg = replace(cfg, raplace=replace(cfg.raplace, n_angles=8))
+        cfg = replace(cfg, stride=2)
         seen = []
         original = descriptors.radon_sinogram
 
@@ -95,9 +95,9 @@ class TestRaplaceSweep:
         monkeypatch.setattr(descriptors, "radon_sinogram", spy)
         rows = sweep_raplace(query, ref, cfg, [10.0], [1.875, 3.75], [64, 32])
         assert len(rows) == 2
-        assert len(seen) == 2 * (len(query.scans) + len(ref.scans))
-        assert {width for width, _ in seen} == {64, 32}
-        assert {n_angles for _, n_angles in seen} == {8}
+        per_point = len(query.scans[::2]) + len(ref.scans[::2])
+        assert per_point < len(query.scans) + len(ref.scans)
+        assert seen == [(64, 64)] * per_point + [(32, 32)] * per_point
 
 
 def test_write_sweep_csv(tmp_path):
