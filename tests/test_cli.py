@@ -563,9 +563,10 @@ def test_non_finite_setting_exits_1_naming_it(synth_pair, raw_source, tmp_path, 
     "flags, key",
     [
         (["--raplace-width-px", "3"], "raplace.width_px"),
+        (["--raplace-width-px", "0"], "raplace.width_px"),
         (["--raplace-scale-pct", "200"], "raplace.scale_pct"),
     ],
-    ids=["width_px_odd", "scale_pct_above_100"],
+    ids=["width_px_odd", "width_px_zero", "scale_pct_above_100"],
 )
 def test_bad_raplace_setting_exits_1_naming_its_config_key(synth_pair, tmp_path, capsys, flags, key):
     query, ref = synth_pair

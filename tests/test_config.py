@@ -21,6 +21,7 @@ from radvlad import (
     WorldConfig,
     bench_timings,
     build_run_config,
+    encode_raplace,
     downsample_trajectory,
     fit_kmeans_pp,
     generate_scene,
@@ -31,6 +32,7 @@ from radvlad import (
     render_polar,
     resample_range,
 )
+from radvlad.config import config_fields, setting_type
 from radvlad.evaluate import encode_trajectory
 from radvlad.sweep import _ringkey_variant
 
@@ -131,6 +133,20 @@ class TestConfigFile:
         cfg = build_run_config({"k": "16", "stride": "5"}, {"k": 2, "stride": None})
         assert cfg.k == 2          # explicit override wins
         assert cfg.stride == 5     # unset flag (None) falls through to the file
+
+    def test_raplace_width_px_in_a_file_sets_the_sinogram_angle_count(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("raplace.width_px = 48\n")
+        cfg = build_run_config(parse_config_file(path))
+        desc = encode_raplace(PolarScan(np.ones((8, 16)), 1.0), cfg.raplace)
+        assert desc.spectrum.shape[0] == 48
+
+    def test_every_config_key_has_one_plain_type(self):
+        types = {key: setting_type(f.type) for key, f in config_fields().items()}
+        assert len(types) == 14
+        assert set(types.values()) == {str, int, float, bool}
+        with pytest.raises(ArgumentError, match="raplace.width_px: expected int"):
+            build_run_config({"raplace.width_px": "none"})
 
     def test_bool_parsing(self):
         assert build_run_config({"vlad_l2_normalize": "true"}).vlad_l2_normalize is True

@@ -185,6 +185,14 @@ class TestHalfSpectrumScan:
         with pytest.raises(ArgumentError, match="non-negative"):
             SpectralScan(-np.ones((2, 5)), 8)
 
+    def test_constructor_rejects_a_non_finite_half(self):
+        # The one finiteness check a spectrum gets on the FFT path.
+        for bad in (np.nan, np.inf):
+            half = np.ones((2, 5))
+            half[1, 3] = bad
+            with pytest.raises(ArgumentError, match="magnitude must be finite"):
+                SpectralScan(half, 8)
+
 
 class TestErrors:
     def test_naive_rejects_empty(self):
