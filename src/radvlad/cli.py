@@ -59,12 +59,8 @@ def _add_config_flags(parser, include_method: bool = True) -> None:
     for key, setting in config_fields().items():
         if key == "method" and not include_method:
             continue
-        kind, shown = setting_type(setting.type), setting.default
-        if kind is bool:
-            options, shown = {"action": argparse.BooleanOptionalAction}, "on" if shown else "off"
-        else:
-            options = {"choices": METHODS} if key == "method" else {"type": kind}
-            shown = f"{shown:g}" if isinstance(shown, float) else shown
+        options = {"choices": METHODS} if key == "method" else {"type": setting_type(setting.type)}
+        shown = f"{setting.default:g}" if isinstance(setting.default, float) else setting.default
         flag = "--" + key.replace(".", "-").replace("_", "-")
         group.add_argument(flag, help=f"{setting.metadata['help']} (default: {shown})", **options)
 

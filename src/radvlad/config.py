@@ -50,7 +50,6 @@ class RunConfig:
     stride: int = field(default=10, metadata={"help": "keep every stride-th scan"})
     threshold_m: float = field(default=25.0, metadata={"help": "ground-truth match gate in metres"})
     n_max: int = field(default=50, metadata={"help": "largest N in the Recall@N curve"})
-    vlad_l2_normalize: bool = field(default=False, metadata={"help": "L2-normalise aggregated descriptors"})
     raplace: RaplaceConfig = field(default_factory=RaplaceConfig)
 
     def __post_init__(self):
@@ -80,8 +79,7 @@ def parse_config_file(path) -> dict:
     return values
 
 
-_BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-_TYPES = {"str": str, "int": int, "float": float, "bool": bool}
+_TYPES = {"str": str, "int": int, "float": float}
 
 
 def config_fields() -> dict:
@@ -100,11 +98,6 @@ def setting_type(annotation: str) -> type:
 def _convert(name: str, value, annotation: str):
     target_type = setting_type(annotation)
     if isinstance(value, str):
-        if target_type is bool:
-            try:
-                return _BOOL_STRINGS[value.lower()]
-            except KeyError:
-                raise ArgumentError(f"{name}: expected a boolean, got {value!r}") from None
         try:
             return target_type(value)
         except ValueError:

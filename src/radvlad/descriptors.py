@@ -93,7 +93,7 @@ def encode_ring_key(scan: PolarScan) -> RingKeyDescriptor:
     return RingKeyDescriptor(scan.power.mean(axis=0, dtype=np.float64))
 
 
-def encode_vlad(rows, codebook: Codebook, l2_normalize: bool = False) -> VladDescriptor:
+def encode_vlad(rows, codebook: Codebook) -> VladDescriptor:
     """Aggregate per-azimuth vectors into a k*W residual descriptor.
 
     Section i is the sum of (row - centre_i) over rows whose nearest
@@ -102,19 +102,13 @@ def encode_vlad(rows, codebook: Codebook, l2_normalize: bool = False) -> VladDes
     ``codebook.cluster_sums`` in ascending row order. Sections are
     concatenated in centre order and clusters with no rows contribute a
     zero section. Rows may be raw power vectors or radial spectra, as
-    long as their length matches the codebook. ``l2_normalize``
-    optionally rescales the concatenated vector to unit norm (off by
-    default).
+    long as their length matches the codebook.
     """
     rows = finite_array("rows", rows, 2)
     if rows.shape[1] != codebook.width:
         raise ArgumentError(f"row length {rows.shape[1]} != codebook width {codebook.width}")
     sums, counts = cluster_sums(rows, nearest_centre_labels(rows, codebook), codebook.k)
     values = (sums - counts[:, None] * codebook.centres).reshape(-1)
-    if l2_normalize:
-        norm = np.linalg.norm(values)
-        if norm > 0.0:
-            values = values / norm
     return VladDescriptor(values=values, k=codebook.k, w=codebook.width)
 
 

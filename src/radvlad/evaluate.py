@@ -218,9 +218,10 @@ class Method:
     spectrum built), ``fit``, the per-scan ``encode``, the
     ``descriptor_class`` and ``field`` a ``PlaceMap`` takes, whether it
     ``folds`` them, the store class a map ``holds`` them in, which owns the
-    map's match, and the descriptor-pair ``compare``. ``cfg`` defaults to
-    the method's ``RunConfig``. The stages it runs are looked up in this module's
-    globals when they run, not when it is built.
+    map's match, and the descriptor-pair ``compare``, which reads the rows
+    a map holds, so it never unfolds a folded pair. ``cfg`` defaults to the
+    method's ``RunConfig``. The stages it runs are looked up in this
+    module's globals when they run, not when it is built.
     """
 
     def __init__(self, name: str, cfg: RunConfig | None = None, codebook: Codebook | None = None):
@@ -229,7 +230,7 @@ class Method:
         cfg = cfg if cfg is not None else RunConfig(method=name)
         self.name, self.cfg, self.codebook = name, cfg, codebook
         self.descriptor_class, self.field, self.folds = VladDescriptor, "values", False
-        self.holds, self.compare = SectionedRows, descriptor_distance
+        self.holds = SectionedRows
         self.rows, self.width, self.encode = None, cfg.target_bins, self._needs_codebook
         # The encoders capture locals, not self, so a method that can encode
         # holds no reference cycle and is freed as soon as it is dropped.
@@ -238,12 +239,12 @@ class Method:
             self.encode = lambda scan: encode_ring_key(preprocess_scan(scan, cfg))
         elif name == METHOD_RAPLACE:
             self.descriptor_class, self.field = RaplaceDescriptor, "spectrum"
-            self.holds, self.compare = Spectra, raplace_similarity
+            self.holds = Spectra
             self.encode = lambda scan: encode_raplace(scan, cfg.raplace)
         elif name == METHOD_RADVLAD:
             self.rows = rows = lambda scan: preprocess_scan(scan, cfg).power
             if codebook is not None:
-                self.encode = lambda scan: encode_vlad(rows(scan), codebook, l2_normalize=cfg.vlad_l2_normalize)
+                self.encode = lambda scan: encode_vlad(rows(scan), codebook)
         else:
             self.rows = rows = lambda scan: radial_fft_magnitude(preprocess_scan(scan, cfg)).folded
             self.width, self.folds = cfg.target_bins // 2 + 1, True
@@ -354,6 +355,15 @@ class Method:
             return VladDescriptor._of_folded(row, k, w)
         return VladDescriptor(row, k, w)
 
+    def compare(self, a, b) -> float:
+        """One descriptor pair's score: ``raplace_similarity`` for
+        ``raplace``, else the squared distance of the rows a map holds of
+        them (``array_of``). The fold keeps every distance, so a folded
+        pair is compared folded, with no unfold."""
+        if self.name == METHOD_RAPLACE:
+            return raplace_similarity(a, b)
+        return descriptor_distance(self.array_of(a), self.array_of(b))
+
 
 def _folded_encoder(rows, codebook: Codebook, cfg: RunConfig):
     """``fft_radvlad``'s encode. Radial spectra are labelled and aggregated
@@ -369,7 +379,7 @@ def _folded_encoder(rows, codebook: Codebook, cfg: RunConfig):
     k, width, folded = codebook.k, codebook.width, codebook.folded
 
     def encode(scan):
-        half = encode_vlad(rows(scan), folded, l2_normalize=cfg.vlad_l2_normalize)
+        half = encode_vlad(rows(scan), folded)
         return VladDescriptor._of_folded(_frozen(half.values), k, width)
 
     return encode

@@ -106,10 +106,6 @@ class TrajectoryPoses:
     def __len__(self) -> int:
         return len(self.timestamps_ns)
 
-    def positions(self) -> np.ndarray:
-        """(n, 2) array of easting/northing in metres."""
-        return np.stack([self.easting_m, self.northing_m], axis=1)
-
 
 @dataclass
 class Trajectory:

@@ -50,10 +50,6 @@ class SpectralScan:
     def folded(self) -> np.ndarray:
         return self.half * _fold_weights(self.width)
 
-    @property
-    def azimuth_count(self) -> int:
-        return self.half.shape[0]
-
 
 def radial_fft_magnitude(scan: PolarScan) -> SpectralScan:
     """DFT magnitude of every azimuth row, via the FFT: the half spectrum

@@ -95,7 +95,7 @@ class TestHelp:
         for flag in (
             "--method", "--suppress-bins", "--target-bins", "--k", "--kmeans-tol",
             "--kmeans-seed", "--kmeans-max-iter", "--stride", "--threshold-m",
-            "--n-max", "--vlad-l2-normalize", "--raplace-width-px",
+            "--n-max", "--raplace-width-px",
             "--raplace-resolution-m", "--raplace-scale-pct",
         ):
             assert flag in text
@@ -112,7 +112,6 @@ class TestHelp:
             "--stride": cfg.stride,
             "--threshold-m": cfg.threshold_m,
             "--n-max": cfg.n_max,
-            "--vlad-l2-normalize": "on" if cfg.vlad_l2_normalize else "off",
             "--raplace-width-px": cfg.raplace.width_px,
             "--raplace-resolution-m": cfg.raplace.resolution_m,
             "--raplace-scale-pct": cfg.raplace.scale_pct,
@@ -594,6 +593,23 @@ def test_the_sinogram_angle_count_is_not_a_setting(synth_pair, tmp_path, capsys)
         main([*argv, *SYNTH_CFG_FLAGS, "--raplace-n-angles", "8"])
     assert exc.value.code == 2
     assert "--raplace-n-angles" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_vlad_normalisation_is_not_a_setting(synth_pair, tmp_path, capsys):
+    # The VLAD descriptor is always the plain residual sum.
+    query, ref = synth_pair
+    out = tmp_path / "out"
+    argv = ["localize", "--query", str(query), "--ref", str(ref), "--out", str(out), *SYNTH_CFG_FLAGS]
+    cfg_file = tmp_path / "l2.cfg"
+    cfg_file.write_text("vlad_l2_normalize = true\n")
+    assert main([*argv, "--config", str(cfg_file)]) == 1
+    assert "unknown config key 'vlad_l2_normalize'" in capsys.readouterr().err
+    for flag in ("--vlad-l2-normalize", "--no-vlad-l2-normalize"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -56,7 +56,6 @@ class TestDefaults:
         assert cfg.stride == 10
         assert cfg.threshold_m == 25.0
         assert cfg.n_max == 50
-        assert cfg.vlad_l2_normalize is False
         assert cfg.raplace.width_px == 256
         assert cfg.raplace.resolution_m == pytest.approx(1.2717)
         assert cfg.raplace.scale_pct == 25.0
@@ -143,16 +142,17 @@ class TestConfigFile:
 
     def test_every_config_key_has_one_plain_type(self):
         types = {key: setting_type(f.type) for key, f in config_fields().items()}
-        assert len(types) == 14
-        assert set(types.values()) == {str, int, float, bool}
+        assert len(types) == 13
+        assert set(types.values()) == {str, int, float}
         with pytest.raises(ArgumentError, match="raplace.width_px: expected int"):
             build_run_config({"raplace.width_px": "none"})
 
-    def test_bool_parsing(self):
-        assert build_run_config({"vlad_l2_normalize": "true"}).vlad_l2_normalize is True
-        assert build_run_config({"vlad_l2_normalize": "no"}).vlad_l2_normalize is False
-        with pytest.raises(ArgumentError):
-            build_run_config({"vlad_l2_normalize": "maybe"})
+    @pytest.mark.parametrize("value", ["true", "false", True])
+    def test_vlad_normalisation_is_an_unknown_config_key(self, value):
+        with pytest.raises(ArgumentError, match="unknown config key 'vlad_l2_normalize'"):
+            build_run_config({"vlad_l2_normalize": value})
+        with pytest.raises(ArgumentError, match="unknown config key 'vlad_l2_normalize'"):
+            build_run_config(overrides={"vlad_l2_normalize": value})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ArgumentError):

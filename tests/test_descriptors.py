@@ -136,12 +136,10 @@ class TestVlad:
             rolled = encode_vlad(np.roll(rows, shift, axis=0), cb).values
             assert np.abs(rolled - base).max() <= 1e-6 * max(1.0, np.abs(base).max())
 
-    def test_l2_normalize_flag(self):
-        rng = np.random.default_rng(7)
-        rows = rng.random((12, 6))
-        cb = Codebook(rng.random((3, 6)), inertia=0.0, iterations_run=1)
-        v = encode_vlad(rows, cb, l2_normalize=True)
-        assert np.linalg.norm(v.values) == pytest.approx(1.0, rel=1e-12)
+    def test_takes_rows_and_codebook_only(self):
+        cb = Codebook(np.zeros((2, 4)), inertia=0.0, iterations_run=1)
+        with pytest.raises(TypeError):
+            encode_vlad(np.ones((3, 4)), cb, l2_normalize=True)
 
     def test_dimension_mismatch(self):
         cb = Codebook(np.zeros((2, 4)), inertia=0.0, iterations_run=1)

@@ -825,13 +825,11 @@ class TestFoldedSpectra:
         assert np.abs(folded.centres - full.centres).max() <= 1e-12
         assert np.array_equal(nearest_centre_labels(full_rows, folded), nearest_centre_labels(full_rows, full))
 
-    @pytest.mark.parametrize("l2_normalize", [False, True])
-    def test_encoder_matches_full_width_encode_vlad(self, fitted, l2_normalize):
+    def test_encoder_matches_full_width_encode_vlad(self, fitted):
         scans, cfg, _, codebook = fitted
-        cfg = replace(cfg, vlad_l2_normalize=l2_normalize)
         for scan, desc in zip(scans, encode_trajectory(scans, "fft_radvlad", cfg, codebook)):
             rows = radial_fft_magnitude(preprocess_scan(scan, cfg)).magnitude
-            want = encode_vlad(rows, codebook, l2_normalize=l2_normalize).values
+            want = encode_vlad(rows, codebook).values
             assert (desc.k, desc.w) == (codebook.k, codebook.width)
             assert np.abs(desc.values - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -1026,6 +1024,16 @@ class TestLazyUnfold:
         with pytest.raises(ValueError):
             first[0] = 1.0
 
+    def test_a_pair_is_compared_folded(self, fitted, widenings):
+        scans, cfg, codebook = fitted
+        method = Method("fft_radvlad", cfg, codebook)
+        a, b = method.encode(scans[0]), method.encode(scans[3])
+        got = method.compare(a, b)
+        assert method.compare(a, a) == 0.0
+        assert widenings == [] and "values" not in vars(a) and "values" not in vars(b)
+        want = descriptor_distance(a, b)
+        assert got > 0.0 and abs(got - want) <= 1e-12 * want
+
     def test_a_folded_descriptor_saves_and_copies_as_a_full_one(self, fitted, tmp_path):
         scans, cfg, codebook = fitted
         made = Method("fft_radvlad", cfg, codebook).encode(scans[0])
@@ -1104,20 +1112,28 @@ class TestBenchTimings:
         with pytest.raises(ArgumentError, match="unknown phase 'encode'"):
             report.median("encode")
 
-    def test_vlad_encodes_honour_l2_normalize(self, bench_scans, monkeypatch):
+    @pytest.mark.parametrize("method", ["ringkey", "radvlad", "raplace"])
+    def test_an_unfolded_pair_compares_as_its_score_function(self, bench_scans, method):
+        cfg = RunConfig(method=method, suppress_bins=0, target_bins=64, k=4, raplace=RaplaceConfig(width_px=32))
+        prepared = Method(method, cfg).fit(bench_scans)
+        a, b = prepared.encode(bench_scans[0]), prepared.encode(bench_scans[1])
+        score = raplace_similarity if method == "raplace" else descriptor_distance
+        assert prepared.compare(a, b) == score(a, b)
+
+    def test_each_timed_build_and_compared_descriptor_encodes_once(self, bench_scans, monkeypatch):
         from radvlad import evaluate
 
         seen = []
         original = evaluate.encode_vlad
 
-        def spy(rows, codebook, l2_normalize=False):
-            seen.append(l2_normalize)
-            return original(rows, codebook, l2_normalize=l2_normalize)
+        def spy(rows, codebook):
+            seen.append(len(rows))
+            return original(rows, codebook)
 
         monkeypatch.setattr(evaluate, "encode_vlad", spy)
-        cfg = RunConfig(method="fft_radvlad", suppress_bins=0, target_bins=64, k=4, vlad_l2_normalize=True)
+        cfg = RunConfig(method="fft_radvlad", suppress_bins=0, target_bins=64, k=4)
         bench_timings("fft_radvlad", bench_scans, 3, cfg)
-        assert seen == [True] * 5  # three timed builds, then the two compared descriptors
+        assert len(seen) == 5  # three timed builds, then the two compared descriptors
 
 
 def test_write_results_csv_multiple_runs(tmp_path):

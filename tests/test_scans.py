@@ -600,11 +600,6 @@ class TestTrajectoryPoses:
         with pytest.raises(ArgumentError, match=reason):
             TrajectoryPoses(*columns)
 
-    def test_positions_shape(self):
-        poses = TrajectoryPoses([1, 2], [5.0, 6.0], [7.0, 8.0])
-        assert poses.positions().shape == (2, 2)
-        assert poses.positions()[1].tolist() == [6.0, 8.0]
-
 
 class TestRunDirectory:
     @pytest.fixture
