@@ -15,9 +15,7 @@ from pathlib import Path
 
 from . import runs, sweep
 from .codebook import load_codebook, save_codebook
-from .config import (
-    METHOD_RAPLACE, METHOD_RINGKEY, METHODS, build_run_config, config_fields, parse_config_file, setting_type
-)
+from .config import METHOD_RAPLACE, METHOD_RINGKEY, METHODS, build_run_config, config_fields, parse_config_file
 from .descriptors import save_descriptor
 from .errors import ArgumentError, IngestError, NumericError
 from .evaluate import (
@@ -59,7 +57,7 @@ def _add_config_flags(parser, include_method: bool = True) -> None:
     for key, setting in config_fields().items():
         if key == "method" and not include_method:
             continue
-        options = {"choices": METHODS} if key == "method" else {"type": setting_type(setting.type)}
+        options = {"choices": METHODS} if key == "method" else {"type": setting.type}
         shown = f"{setting.default:g}" if isinstance(setting.default, float) else setting.default
         flag = "--" + key.replace(".", "-").replace("_", "-")
         group.add_argument(flag, help=f"{setting.metadata['help']} (default: {shown})", **options)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._files import FrameReader, ingesting, write_frame
-from .config import RunConfig
 from .errors import ArgumentError, bounded_int, finite_array, finite_positive
 from .spectral import fold_half_spectrum, is_mirror_symmetric
 
@@ -176,8 +175,7 @@ def _update_centres(vectors: np.ndarray, labels: np.ndarray, centres: np.ndarray
     return new
 
 
-def fit_kmeans_pp(vectors, k: int, tol: float = RunConfig.kmeans_tol, seed: int = RunConfig.kmeans_seed,
-                  max_iter: int = RunConfig.kmeans_max_iter) -> Codebook:
+def fit_kmeans_pp(vectors, k: int, tol: float = 1e-4, seed: int = 0, max_iter: int = 300) -> Codebook:
     """Fit k centres by k-means++ seeding followed by Lloyd iterations.
 
     Iteration stops when the relative decrease in inertia is <= ``tol`` or

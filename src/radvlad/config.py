@@ -5,8 +5,6 @@ flat namespace; nested settings use dotted keys (``raplace.scale_pct``).
 Command-line flags override file values, which override the defaults.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -44,9 +42,6 @@ class RunConfig:
     suppress_bins: int = field(default=60, metadata={"help": "near-range bins zeroed before resampling"})
     target_bins: int = field(default=512, metadata={"help": "range bins after resampling"})
     k: int = field(default=64, metadata={"help": "codebook cluster count"})
-    kmeans_tol: float = field(default=1e-4, metadata={"help": "relative inertia decrease to stop"})
-    kmeans_seed: int = field(default=0, metadata={"help": "codebook seeding RNG seed"})
-    kmeans_max_iter: int = field(default=300, metadata={"help": "iteration cap for clustering"})
     stride: int = field(default=10, metadata={"help": "keep every stride-th scan"})
     threshold_m: float = field(default=25.0, metadata={"help": "ground-truth match gate in metres"})
     n_max: int = field(default=50, metadata={"help": "largest N in the Recall@N curve"})
@@ -55,9 +50,8 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ArgumentError(f"method must be one of {METHODS}, got {self.method!r}")
-        for name in ("suppress_bins", "target_bins", "k", "kmeans_seed", "kmeans_max_iter", "stride", "n_max"):
-            bounded_int(name, getattr(self, name), 0 if name in ("suppress_bins", "kmeans_seed") else 1)
-        finite_positive("kmeans_tol", self.kmeans_tol)
+        for name in ("suppress_bins", "target_bins", "k", "stride", "n_max"):
+            bounded_int(name, getattr(self, name), 0 if name == "suppress_bins" else 1)
         finite_positive("threshold_m", self.threshold_m)
 
 
@@ -79,9 +73,6 @@ def parse_config_file(path) -> dict:
     return values
 
 
-_TYPES = {"str": str, "int": int, "float": float}
-
-
 def config_fields() -> dict:
     """Every config key mapped to its field, whose metadata holds its flag's
     help text; ``raplace`` settings take dotted keys (``raplace.width_px``)."""
@@ -90,20 +81,15 @@ def config_fields() -> dict:
     return keys
 
 
-def setting_type(annotation: str) -> type:
-    """The value type of a config field's annotation (``"int"`` -> int)."""
-    return _TYPES[annotation]
-
-
-def _convert(name: str, value, annotation: str):
-    target_type = setting_type(annotation)
-    if isinstance(value, str):
-        try:
-            return target_type(value)
-        except ValueError:
-            raise ArgumentError(f"{name}: expected {target_type.__name__}, got {value!r}") from None
-    # A given int is checked, not truncated, by the config that takes it.
-    return value if target_type is int else target_type(value)
+def _convert(name: str, value, target_type: type):
+    """Text parsed as ``target_type``; any other value is left to the
+    config that takes it to check."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return target_type(value)
+    except ValueError:
+        raise ArgumentError(f"{name}: expected {target_type.__name__}, got {value!r}") from None
 
 
 def build_run_config(file_values: dict | None = None, overrides: dict | None = None) -> RunConfig:

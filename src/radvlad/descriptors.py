@@ -173,23 +173,18 @@ def _angle_operator(side: int, phi: float, xs: np.ndarray, ys: np.ndarray):
     return sparse.csr_array((weights.ravel(), taps.ravel(), indptr), shape=(side * side, side * side))
 
 
-def _built_angles(n_angles: int) -> int:
-    """Angles that get an operator: those in [0, pi/2) when n_angles is
-    even (the rest are quarter turns of them), else all of them."""
-    return n_angles // 2 if n_angles % 2 == 0 else n_angles
-
-
 def _angle_operators(side: int, n_angles: int):
-    """Yield every built angle's operator in angle order, one at a time."""
+    """Yield the operator of every angle in [0, pi/2) in angle order, one
+    at a time; the other n_angles // 2 angles are quarter turns of them."""
     ys, xs = (np.mgrid[0:side, 0:side] - (side - 1) / 2.0).reshape(2, -1)
-    for a in range(_built_angles(n_angles)):
+    for a in range(n_angles // 2):
         yield _angle_operator(side, np.pi * a / n_angles, xs, ys)
 
 
 def _rotation_operators(side: int, n_angles: int):
-    """The operators of every built angle: the cached list when they fit
-    the cache budget, else a generator that holds one operator at a time."""
-    if _built_angles(n_angles) * side * side * _OPERATOR_BYTES_PER_PIXEL > _TABLE_CACHE_LIMIT_BYTES:
+    """The operators of the angles in [0, pi/2): the cached list when they
+    fit the cache budget, else a generator that holds one at a time."""
+    if n_angles // 2 * side * side * _OPERATOR_BYTES_PER_PIXEL > _TABLE_CACHE_LIMIT_BYTES:
         return _angle_operators(side, n_angles)
     key = (side, n_angles)
     with _table_lock:
@@ -206,23 +201,22 @@ def radon_sinogram(scan: CartesianScan, n_angles: int) -> np.ndarray:
     rotated about its centre with bilinear interpolation (zero outside)
     and its columns are summed. Each angle's rotation is a sparse CSR
     matrix, built once per geometry and cached (or, past the cache budget,
-    built and applied one angle at a time). For even n_angles only the
-    angles in [0, pi/2) get one: the rotation by phi + pi/2 is the
-    rotation by phi applied to the image turned a quarter clockwise
+    built and applied one angle at a time). ``n_angles`` must be even, so
+    only the angles in [0, pi/2) get one: the rotation by phi + pi/2 is
+    the rotation by phi applied to the image turned a quarter clockwise
     (``np.rot90(pixels, -1)``). That identity is exact, because the
     quarter turn maps the grid centre (side - 1)/2 onto itself, so the
     pi/2 row is read through the grid-aligned phi = 0 operator.
     """
-    bounded_int("n_angles", n_angles, 1)
+    if bounded_int("n_angles", n_angles, 2) % 2 != 0:
+        raise ArgumentError(f"n_angles must be even and >= 2, got {n_angles!r}")
     side = scan.width_px
-    images = [scan.pixels.ravel()]
-    if n_angles % 2 == 0:
-        images.append(np.rot90(scan.pixels, -1).ravel())
-    built = _built_angles(n_angles)
+    images = (scan.pixels.ravel(), np.rot90(scan.pixels, -1).ravel())
+    half = n_angles // 2
     out = np.empty((n_angles, side))
     for a, op in enumerate(_rotation_operators(side, n_angles)):
         for turn, flat in enumerate(images):
-            out[a + turn * built] = (op @ flat).reshape(side, side).sum(axis=0)
+            out[a + turn * half] = (op @ flat).reshape(side, side).sum(axis=0)
     return out
 
 

@@ -24,13 +24,14 @@ class NumericError(ValueError):
 
 
 def finite_positive(name: str, value, zero_ok: bool = False) -> float:
-    """``value`` as a float, if it is finite and positive (or zero, with
-    ``zero_ok``); otherwise an ``ArgumentError`` naming ``name``."""
-    value = float(value)
-    if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
+    """``value`` as a float, if it is a number (numpy's too, but not a bool)
+    that is finite and positive (or zero, with ``zero_ok``); otherwise an
+    ``ArgumentError`` naming ``name``."""
+    number = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
+    if not (math.isfinite(number) and (number >= 0.0 if zero_ok else number > 0.0)):
         sign = "non-negative" if zero_ok else "positive"
         raise ArgumentError(f"{name} must be finite and {sign}, got {value!r}")
-    return value
+    return number
 
 
 def bounded_int(name: str, value, low: int, high: int | None = None) -> int:

@@ -284,7 +284,7 @@ class Method:
             return self
         cfg = self.cfg
         rows = self.training_rows(scans)
-        codebook = fit_kmeans_pp(rows, cfg.k, tol=cfg.kmeans_tol, seed=cfg.kmeans_seed, max_iter=cfg.kmeans_max_iter)
+        codebook = fit_kmeans_pp(rows, cfg.k)
         if self.folds:
             codebook = dc_replace(codebook, centres=unfold_half_spectrum(codebook.centres, cfg.target_bins))
         return Method(self.name, cfg, codebook)

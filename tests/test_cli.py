@@ -93,8 +93,7 @@ class TestHelp:
             main(["localize", "--help"])
         text = capsys.readouterr().out
         for flag in (
-            "--method", "--suppress-bins", "--target-bins", "--k", "--kmeans-tol",
-            "--kmeans-seed", "--kmeans-max-iter", "--stride", "--threshold-m",
+            "--method", "--suppress-bins", "--target-bins", "--k", "--stride", "--threshold-m",
             "--n-max", "--raplace-width-px",
             "--raplace-resolution-m", "--raplace-scale-pct",
         ):
@@ -106,9 +105,6 @@ class TestHelp:
             "--suppress-bins": cfg.suppress_bins,
             "--target-bins": cfg.target_bins,
             "--k": cfg.k,
-            "--kmeans-tol": cfg.kmeans_tol,
-            "--kmeans-seed": cfg.kmeans_seed,
-            "--kmeans-max-iter": cfg.kmeans_max_iter,
             "--stride": cfg.stride,
             "--threshold-m": cfg.threshold_m,
             "--n-max": cfg.n_max,
@@ -491,16 +487,10 @@ class TestSynthCommand:
         assert (out / "distances_fft_radvlad.dmat").exists()
 
 
-@pytest.mark.parametrize("command", ["localize", "cluster", "bench", "synth"])
-def test_negative_seed_exits_1_without_traceback(synth_pair, tmp_path, capsys, command):
-    query, ref = synth_pair
+@pytest.mark.parametrize("command", ["synth"])
+def test_negative_seed_exits_1_without_traceback(tmp_path, capsys, command):
     out = str(tmp_path / "out")
-    argv = {
-        "localize": ["localize", "--query", str(query), "--ref", str(ref), "--out", out, "--kmeans-seed", "-1"],
-        "cluster": ["cluster", "--run", str(ref), "--out", out, "--kmeans-seed", "-1"],
-        "bench": ["bench", "--run", str(ref), "--out", out, "--repetitions", "1", "--kmeans-seed", "-1"],
-        "synth": ["synth", "--scenario", "rotation", "--out", out, "--seed", "-1", "--places", "2", "--trials", "2"],
-    }[command]
+    argv = [command, "--scenario", "rotation", "--out", out, "--seed", "-1", "--places", "2", "--trials", "2"]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"radvlad {command}: ") and "seed" in err
@@ -529,7 +519,6 @@ def test_bad_synth_world_exits_1_without_traceback(tmp_path, capsys, flags, word
     [
         (["localize", "--method", "raplace", "--raplace-resolution-m", "nan"], "raplace.resolution_m"),
         (["localize", "--threshold-m", "nan"], "threshold_m"),
-        (["localize", "--kmeans-tol", "nan", "--kmeans-max-iter", "3"], "kmeans_tol"),
         (["synth", "--scenario", "rotation", "--beam-sigma", "nan"], "beam_sigma"),
         (["synth", "--scenario", "rotation", "--beam-sigma", "inf"], "beam_sigma"),
         (["synth", "--scenario", "rotation", "--max-range", "nan"], "max_range"),
@@ -538,7 +527,7 @@ def test_bad_synth_world_exits_1_without_traceback(tmp_path, capsys, flags, word
         (["ingest", "--range-resolution", "nan"], "range_resolution_m"),
     ],
     ids=[
-        "raplace_resolution_nan", "threshold_nan", "kmeans_tol_nan", "beam_sigma_nan", "beam_sigma_inf",
+        "raplace_resolution_nan", "threshold_nan", "beam_sigma_nan", "beam_sigma_inf",
         "max_range_nan", "noise_sigma_nan", "translate_max_inf", "range_resolution_nan",
     ],
 )
@@ -610,6 +599,31 @@ def test_vlad_normalisation_is_not_a_setting(synth_pair, tmp_path, capsys):
             main([*argv, flag])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["kmeans_tol", "kmeans_seed", "kmeans_max_iter"])
+def test_kmeans_solver_settings_are_not_settings(synth_pair, tmp_path, capsys, key):
+    # fit_kmeans_pp states its own tolerance, seed and iteration cap.
+    query, ref = synth_pair
+    out = tmp_path / "out"
+    cfg_file = tmp_path / "kmeans.cfg"
+    cfg_file.write_text(f"{key} = 1\n")
+    localize = ["localize", "--query", str(query), "--ref", str(ref), "--out", str(out), *SYNTH_CFG_FLAGS]
+    assert main([*localize, "--config", str(cfg_file)]) == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    flag = "--" + key.replace("_", "-")
+    for argv in (
+        ["cluster", "--run", str(ref), "--out", str(out)],
+        ["encode", "--run", str(ref), "--out", str(out)],
+        localize,
+        ["sweep", "--method", "ringkey", "--query", str(query), "--ref", str(ref), "--out", str(out)],
+        ["bench", "--run", str(ref), "--out", str(out)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -32,13 +32,13 @@ from radvlad import (
     render_polar,
     resample_range,
 )
-from radvlad.config import config_fields, setting_type
+from radvlad.config import config_fields
 from radvlad.evaluate import encode_trajectory
 from radvlad.sweep import _ringkey_variant
 
 LAYOUT = {"rows": 1, "header_bytes_per_row": 0, "payload_bins": 1}
 # The lowest valid value of each integer field whose bound is not 1.
-INT_LOWS = {"suppress_bins": 0, "kmeans_seed": 0, "header_bytes_per_row": 0, "width_px": 2}
+INT_LOWS = {"suppress_bins": 0, "header_bytes_per_row": 0, "width_px": 2}
 SCAN = PolarScan(np.ones((4, 8)), 1.0)
 ROWS = np.random.default_rng(0).random((6, 2))
 
@@ -50,9 +50,6 @@ class TestDefaults:
         assert cfg.suppress_bins == 60
         assert cfg.target_bins == 512
         assert cfg.k == 64
-        assert cfg.kmeans_tol == 1e-4
-        assert cfg.kmeans_seed == 0
-        assert cfg.kmeans_max_iter == 300
         assert cfg.stride == 10
         assert cfg.threshold_m == 25.0
         assert cfg.n_max == 50
@@ -78,11 +75,7 @@ class TestDefaults:
         with pytest.raises(ArgumentError):
             RunConfig(method="nope")
 
-    def test_negative_kmeans_seed_rejected(self):
-        with pytest.raises(ArgumentError, match="kmeans_seed"):
-            RunConfig(kmeans_seed=-1)
-
-    @pytest.mark.parametrize("name", ["target_bins", "k", "stride", "n_max", "kmeans_max_iter"])
+    @pytest.mark.parametrize("name", ["target_bins", "k", "stride", "n_max"])
     def test_counts_below_one_rejected(self, name):
         with pytest.raises(ArgumentError, match=f"{name}.*>= 1"):
             RunConfig(**{name: 0})
@@ -141,8 +134,8 @@ class TestConfigFile:
         assert desc.spectrum.shape[0] == 48
 
     def test_every_config_key_has_one_plain_type(self):
-        types = {key: setting_type(f.type) for key, f in config_fields().items()}
-        assert len(types) == 13
+        types = {key: f.type for key, f in config_fields().items()}
+        assert len(types) == 10
         assert set(types.values()) == {str, int, float}
         with pytest.raises(ArgumentError, match="raplace.width_px: expected int"):
             build_run_config({"raplace.width_px": "none"})
@@ -184,6 +177,23 @@ class TestValidValues:
                     config(**{**required, name: value})
 
     @pytest.mark.parametrize(
+        "config, required",
+        [(RunConfig, {}), (RaplaceConfig, {}), (RasterLayoutConfig, LAYOUT)],
+        ids=["RunConfig", "RaplaceConfig", "RasterLayoutConfig"],
+    )
+    def test_every_float_field_rejects_bools(self, config, required):
+        float_fields = [f.name for f in fields(config) if f.type in ("float", float)]
+        for name in float_fields:
+            for value in (True, np.True_):
+                with pytest.raises(ArgumentError, match=f"{name} must be finite"):
+                    config(**{**required, name: value})
+
+    @pytest.mark.parametrize("key", ["threshold_m", "raplace.resolution_m", "raplace.scale_pct"])
+    def test_a_given_bool_is_not_a_real_setting(self, key):
+        with pytest.raises(ArgumentError, match=rf"^{re.escape(key)} must be finite and positive, got True"):
+            build_run_config(overrides={key: True})
+
+    @pytest.mark.parametrize(
         "make",
         [
             lambda bad: polar_to_cartesian(PolarScan(np.ones((4, 8)), 1.0), 8, bad),
@@ -220,7 +230,7 @@ class TestValidCounts:
         ids=["RunConfig", "RaplaceConfig", "RasterLayoutConfig", "WorldConfig"],
     )
     def test_every_int_field_rejects_nan_floats_bools_and_values_below_its_bound(self, config, required, names):
-        int_fields = names or [f.name for f in fields(config) if f.type in ("int", "int | None")]
+        int_fields = names or [f.name for f in fields(config) if f.type in ("int", int, "int | None")]
         assert int_fields
         for name in int_fields:
             low = INT_LOWS.get(name, 1)
@@ -235,7 +245,7 @@ class TestValidCounts:
             ("k", 1, lambda bad: fit_kmeans_pp(ROWS, bad)),
             ("max_iter", 1, lambda bad: fit_kmeans_pp(ROWS, 2, max_iter=bad)),
             ("seed", 0, lambda bad: fit_kmeans_pp(ROWS, 2, seed=bad)),
-            ("n_angles", 1, lambda bad: radon_sinogram(CartesianScan(np.zeros((4, 4)), 1.0), bad)),
+            ("n_angles", 2, lambda bad: radon_sinogram(CartesianScan(np.zeros((4, 4)), 1.0), bad)),
             ("k", 1, lambda bad: VladDescriptor(np.ones(4), bad, 4)),
             ("w", 1, lambda bad: VladDescriptor(np.ones(4), 4, bad)),
             ("stride", 1, lambda bad: downsample_trajectory([SCAN], bad)),

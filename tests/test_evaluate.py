@@ -818,7 +818,7 @@ class TestFoldedSpectra:
 
     def test_folded_fit_matches_full_width_fit(self, fitted):
         _, cfg, full_rows, folded = fitted
-        full = fit_kmeans_pp(full_rows, cfg.k, tol=cfg.kmeans_tol, seed=cfg.kmeans_seed, max_iter=cfg.kmeans_max_iter)
+        full = fit_kmeans_pp(full_rows, cfg.k)
         assert folded.width == full.width == cfg.target_bins
         assert folded.iterations_run == full.iterations_run
         assert folded.inertia == pytest.approx(full.inertia, rel=1e-12)

@@ -92,7 +92,7 @@ def test_fitting_and_encoding_a_run_holds_a_scan_at_a_time(raw_run):
     # The training rows (held while the fit runs, and while they are
     # gathered) and the scan in flight with its temporaries; never the
     # whole run (six scans).
-    cfg = RunConfig(method="fft_radvlad", kmeans_max_iter=5)
+    cfg = RunConfig(method="fft_radvlad")
     scan_bytes = (raw_run / "scans" / "000000.prsn").stat().st_size
     training_bytes = 6 * 400 * (cfg.target_bins // 2 + 1) * 8
     resample_range(read_prsn(raw_run / "scans" / "000000.prsn"), cfg.target_bins, suppress_bins=cfg.suppress_bins)
